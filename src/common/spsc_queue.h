@@ -17,13 +17,12 @@ namespace leopard {
 /// queue per worker; on small machines the workers outnumber the cores).
 ///
 /// Contract: exactly one thread calls Push, and at most one thread at a
-/// time acts as the consumer (TryPop/PopWait/Front/PopFront). The consumer
-/// role may be handed between threads provided the handoff synchronizes
-/// (the sharded verifier's work-stealing workers serialize it through a
-/// per-shard acquire/release claim flag, which also publishes the
-/// consumer-local tail cache). Push blocks (spin, then yield) when the ring
-/// is full —
-/// that back-pressure is what bounds the sharded verifier's memory. A dead
+/// time acts as the consumer (TryPop/PopWait). The consumer role may be
+/// handed between threads provided the handoff synchronizes (the sharded
+/// verifier's work-stealing workers serialize it through a per-shard
+/// acquire/release claim flag, which also publishes the consumer-local tail
+/// cache). Push blocks (spin, then yield) when the ring is full — that
+/// back-pressure is what bounds the sharded verifier's memory. A dead
 /// or wedged consumer would otherwise trap the producer in that spin
 /// forever; Poison() is the shutdown escape — any thread may call it, after
 /// which a full-ring Push gives up and returns false instead of waiting for
@@ -92,30 +91,6 @@ class SpscQueue {
     out = std::move(ring_[head & mask_]);
     head_.store(head + 1, std::memory_order_release);
     return true;
-  }
-
-  /// Consumer side: peek at the head element without consuming it. Returns
-  /// nullptr when the ring is empty. The pointer stays valid until the next
-  /// PopFront/TryPop. The sharded verifier's workers use this to *defer* a
-  /// message they cannot process yet (a key-migration install whose state
-  /// bundle has not been deposited) without losing their place in the
-  /// queue's FIFO order — popping and re-pushing would break the per-key
-  /// ordering the certifier relies on.
-  T* Front() {
-    const size_t head = head_.load(std::memory_order_relaxed);
-    if (head == tail_cache_) {
-      tail_cache_ = tail_.load(std::memory_order_acquire);
-      if (head == tail_cache_) return nullptr;
-    }
-    return &ring_[head & mask_];
-  }
-
-  /// Consumer side: consumes the element last returned by Front(). Must only
-  /// be called after a non-null Front() with no interleaving TryPop.
-  void PopFront() {
-    const size_t head = head_.load(std::memory_order_relaxed);
-    ring_[head & mask_] = T();
-    head_.store(head + 1, std::memory_order_release);
   }
 
   /// Consumer side: TryPop with a bounded park when the ring is empty.

@@ -15,9 +15,9 @@ namespace durable {
 
 namespace {
 
-// "02": PR8 added the sharded router's routing table + rebalancer sketch to
-// the engine state; an "01" checkpoint would misparse past the txn routes.
-constexpr char kCkptMagic[8] = {'L', 'E', 'O', 'C', 'K', 'P', '0', '3'};
+// Bumped whenever the engine payload layout changes, so an older file is
+// refused by magic (and recovery falls back) instead of misparsing.
+constexpr char kCkptMagic[8] = {'L', 'E', 'O', 'C', 'K', 'P', '0', '4'};
 constexpr char kManifestMagic[8] = {'L', 'E', 'O', 'M', 'A', 'N', '0', '1'};
 constexpr size_t kKeepCheckpoints = 2;
 

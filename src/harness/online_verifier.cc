@@ -13,7 +13,6 @@ ShardedLeopard::Options EngineOptions(const OnlineVerifier::Options& options) {
   ShardedLeopard::Options eo;
   eo.n_shards = options.n_shards;
   eo.n_workers = options.n_workers;
-  eo.enable_rebalance = options.enable_rebalance;
   eo.metrics = options.obs.metrics;
   eo.span_sample_every = options.obs.span_sample_every;
   eo.events = options.obs.events;

@@ -67,9 +67,6 @@ class OnlineVerifier {
     /// Worker threads draining the shard queues (0 = one per shard); see
     /// ShardedLeopard::Options::n_workers.
     uint32_t n_workers = 0;
-    /// Skew-adaptive hot-key rebalancing between shards; see
-    /// ShardedLeopard::Options::enable_rebalance.
-    bool enable_rebalance = false;
     ObsOptions obs;
     /// Allow AddClient() after construction (online ingestion: sessions
     /// join while verification runs). The run then finishes only after

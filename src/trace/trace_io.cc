@@ -291,10 +291,17 @@ Status WriteTraceFile(const std::string& path,
 }
 
 StatusOr<std::vector<Trace>> ReadTraceFile(const std::string& path) {
-  std::ifstream file(path, std::ios::binary);
+  std::ifstream file(path, std::ios::binary | std::ios::ate);
   if (!file) return Status::NotFound(path + ": cannot open");
-  std::string bytes((std::istreambuf_iterator<char>(file)),
-                    std::istreambuf_iterator<char>());
+  // One sized read: opened at the end, so tellg() is the file size.
+  const std::streamoff size = file.tellg();
+  if (size < 0) return Status::Internal(path + ": cannot determine size");
+  std::string bytes(static_cast<size_t>(size), '\0');
+  file.seekg(0);
+  file.read(bytes.data(), static_cast<std::streamsize>(size));
+  if (file.gcount() != static_cast<std::streamsize>(size)) {
+    return Status::Internal(path + ": short read");
+  }
   bool had_crc = false;
   auto traces = DecodeTraces(bytes, &had_crc);
   if (!traces.ok()) {

@@ -452,122 +452,6 @@ void Leopard::MaybeGc() {
   }
 }
 
-std::unique_ptr<Leopard::KeyStateBundle> Leopard::ExtractKeyState(Key key) {
-  auto b = std::make_unique<KeyStateBundle>();
-  b->key = key;
-  versions_.ExtractKey(key, b->versions);
-  locks_.ExtractKey(key, b->locks, b->key_was_released);
-
-  // Active transactions' per-key footprint. Removing the key here is load-
-  // bearing, not just tidy: a lingering write_keys entry would re-install
-  // the buffered write at commit on this shard (install_at_commit configs)
-  // after the version list moved away.
-  for (auto&& [id, t] : txns_) {
-    KeyStateBundle::TxnContribution c;
-    c.txn = id;
-    c.first_op = t.first_op;
-    c.il = t.il;
-    auto* wit = std::find(t.write_keys.begin(), t.write_keys.end(), key);
-    if (wit != t.write_keys.end()) {
-      c.in_write_keys = true;
-      t.write_keys.erase(wit);
-    }
-    auto* rit = std::find(t.read_keys.begin(), t.read_keys.end(), key);
-    if (rit != t.read_keys.end()) {
-      c.in_read_keys = true;
-      t.read_keys.erase(rit);
-    }
-    if (auto oit = t.own_writes.find(key); oit != t.own_writes.end()) {
-      c.has_own_write = true;
-      c.own_write = oit->second;
-      t.own_writes.erase(key);
-    }
-    if (c.in_write_keys || c.in_read_keys || c.has_own_write) {
-      b->txns.push_back(c);
-    }
-  }
-
-  // Parked reads: split this key's items out into fragments, keep the rest
-  // parked. Verification accounting is per item, so regrouping a statement's
-  // items across shards leaves every counter and deduced edge unchanged.
-  if (!pending_reads_.empty()) {
-    std::vector<PendingRead> keep;
-    keep.reserve(pending_reads_.size());
-    while (!pending_reads_.empty()) {
-      PendingRead pr =
-          std::move(const_cast<PendingRead&>(pending_reads_.top()));
-      pending_reads_.pop();
-      KeyStateBundle::ReadFragment frag;
-      for (auto it = pr.items.begin(); it != pr.items.end();) {
-        if (it->key == key) {
-          frag.items.push_back(*it);
-          it = pr.items.erase(it);
-        } else {
-          ++it;
-        }
-      }
-      for (auto it = pr.absent_items.begin(); it != pr.absent_items.end();) {
-        if (*it == key) {
-          frag.absent_items.push_back(*it);
-          it = pr.absent_items.erase(it);
-        } else {
-          ++it;
-        }
-      }
-      if (!frag.items.empty() || !frag.absent_items.empty()) {
-        frag.txn = pr.txn;
-        frag.snapshot = pr.snapshot;
-        frag.op_interval = pr.op_interval;
-        b->reads.push_back(std::move(frag));
-      }
-      if (!pr.items.empty() || !pr.absent_items.empty()) {
-        keep.push_back(std::move(pr));
-      } else if (read_pool_.size() < 64) {
-        read_pool_.push_back(std::move(pr));
-      }
-    }
-    for (auto& pr : keep) pending_reads_.push(std::move(pr));
-  }
-  return b;
-}
-
-void Leopard::InstallKeyState(std::unique_ptr<KeyStateBundle> b) {
-  versions_.InstallKey(b->key, std::move(b->versions));
-  locks_.InstallKey(b->key, std::move(b->locks), b->key_was_released);
-  for (const auto& c : b->txns) {
-    // GetTxn installs the transaction's true global first-op interval when
-    // this shard has not met it yet (same contract as BeginTxnAt).
-    TxnState& t = GetTxn(c.txn, c.first_op);
-    if (c.il < t.il) t.il = c.il;
-    if (c.in_write_keys &&
-        std::find(t.write_keys.begin(), t.write_keys.end(), b->key) ==
-            t.write_keys.end()) {
-      t.write_keys.push_back(b->key);
-    }
-    if (c.in_read_keys &&
-        std::find(t.read_keys.begin(), t.read_keys.end(), b->key) ==
-            t.read_keys.end()) {
-      t.read_keys.push_back(b->key);
-    }
-    if (c.has_own_write) t.own_writes[b->key] = c.own_write;
-  }
-  for (auto& frag : b->reads) {
-    PendingRead pr;
-    if (!read_pool_.empty()) {
-      pr = std::move(read_pool_.back());
-      read_pool_.pop_back();
-      pr.Reset();
-    }
-    pr.txn = frag.txn;
-    pr.snapshot = frag.snapshot;
-    pr.op_interval = frag.op_interval;
-    pr.items.insert(pr.items.end(), frag.items.begin(), frag.items.end());
-    pr.absent_items.insert(pr.absent_items.end(), frag.absent_items.begin(),
-                           frag.absent_items.end());
-    pending_reads_.push(std::move(pr));
-  }
-}
-
 void Leopard::SaveState(StateWriter& w) const {
   w.PutU64(frontier_);
   w.PutU64(safe_ts_bound_);

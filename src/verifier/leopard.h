@@ -136,57 +136,6 @@ class Leopard {
   void SaveState(StateWriter& w) const;
   Status LoadState(StateReader& r);
 
-  /// Everything this verifier knows about one key, packaged for migration
-  /// to another shard's verifier (skew-adaptive rebalancing). The bundle
-  /// carries the key's version list and lock history verbatim, each active
-  /// transaction's per-key footprint (write/read membership, buffered own
-  /// write) together with its true global first-op interval, and the parked
-  /// read fragments whose items reference the key. Moving the bundle and
-  /// replaying the remaining per-key traces on the receiving shard yields
-  /// bit-identical verdicts: CR/ME/FUW are strictly per-key procedures, and
-  /// the deduced edges they emit are order-independent at the certifier.
-  struct KeyStateBundle {
-    Key key = 0;
-    std::vector<VersionEntry> versions;
-    std::vector<LockRec> locks;
-    bool key_was_released = false;  ///< lock-table prune-candidate membership
-
-    struct TxnContribution {
-      TxnId txn = 0;
-      TimeInterval first_op;
-      IsolationLevel il = IsolationLevel::kSerializable;
-      bool in_write_keys = false;
-      bool in_read_keys = false;
-      bool has_own_write = false;
-      Value own_write = 0;
-    };
-    std::vector<TxnContribution> txns;
-
-    struct ReadFragment {
-      TxnId txn = 0;
-      TimeInterval snapshot;
-      TimeInterval op_interval;
-      std::vector<ReadAccess> items;
-      std::vector<Key> absent_items;
-    };
-    std::vector<ReadFragment> reads;
-  };
-
-  /// Moves every trace of `key` out of this verifier, as if the key's
-  /// operations had never been routed here (transactions that touched other
-  /// keys too stay registered, minus this key's footprint). Never returns
-  /// nullptr — a key with no state yields an empty bundle, which InstallKey-
-  /// State treats as a no-op. Sharded-engine use only (requires the edge
-  /// sink, so no parked dependency edges exist to carry).
-  std::unique_ptr<KeyStateBundle> ExtractKeyState(Key key);
-
-  /// Receiving side of a key migration. The caller (the sharded engine's
-  /// migration protocol) guarantees every pre-move trace of the key was
-  /// processed by the source before extraction and every post-move trace
-  /// arrives here afterwards, so installing preserves the per-key dispatch
-  /// order the mechanism procedures rely on.
-  void InstallKeyState(std::unique_ptr<KeyStateBundle> bundle);
-
   /// Approximate live memory of all mirrored structures (Figs. 10/14).
   size_t ApproxMemoryBytes() const;
 

@@ -104,26 +104,6 @@ size_t MirrorLockTable::Prune(Timestamp safe_ts) {
   return removed;
 }
 
-bool MirrorLockTable::ExtractKey(Key key, std::vector<LockRec>& out,
-                                 bool& was_released) {
-  auto it = map_.find(key);
-  if (it == map_.end()) return false;
-  out = std::move(it->second);
-  list_heap_bytes_ -= out.capacity() * sizeof(LockRec);
-  map_.erase(key);
-  was_released = released_keys_.contains(key);
-  released_keys_.erase(key);
-  return true;
-}
-
-void MirrorLockTable::InstallKey(Key key, std::vector<LockRec> list,
-                                 bool was_released) {
-  if (list.empty()) return;
-  list_heap_bytes_ += list.capacity() * sizeof(LockRec);
-  map_[key] = std::move(list);
-  if (was_released) released_keys_.try_emplace(key);
-}
-
 void MirrorLockTable::SaveState(StateWriter& w) const {
   w.PutU32(static_cast<uint32_t>(map_.size()));
   for (const auto& [key, list] : map_) {

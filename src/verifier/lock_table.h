@@ -86,14 +86,6 @@ class MirrorLockTable {
   /// evaluation may need it). Returns records removed.
   size_t Prune(Timestamp safe_ts);
 
-  /// Key-migration handoff (sharded rebalancing): moves `key`'s whole lock
-  /// list out of the table, removing the key. `was_released` carries the
-  /// key's membership in the prune-candidate set so the receiving shard
-  /// sweeps it exactly as this one would have. Returns false (leaving `out`
-  /// untouched) when the key has no records.
-  bool ExtractKey(Key key, std::vector<LockRec>& out, bool& was_released);
-  void InstallKey(Key key, std::vector<LockRec> list, bool was_released);
-
   /// Checkpoint hooks (src/durable): serializes every lock list in full.
   /// LoadState replaces the table's contents and rebuilds the derived state
   /// (released-key set, heap-byte accounting) from the loaded lists.

@@ -1,13 +1,11 @@
 #include "verifier/sharded_leopard.h"
 
 #include <algorithm>
-#include <array>
 #include <atomic>
 #include <cassert>
 #include <chrono>
 #include <condition_variable>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <thread>
 #include <tuple>
@@ -31,8 +29,7 @@ namespace sharded_internal {
 /// caller, consumed by whichever worker currently holds the shard's drain
 /// claim (the claim flag serializes consumers, keeping the queue SPSC).
 struct ShardMsg {
-  enum class Kind : uint8_t { kTrace, kFinish, kBarrier, kMigrateOut,
-                              kMigrateIn };
+  enum class Kind : uint8_t { kTrace, kFinish, kBarrier };
   Kind kind = Kind::kTrace;
   /// Projection of the routed trace onto this shard's keys (terminals are
   /// broadcast whole — they carry no accesses).
@@ -55,14 +52,6 @@ struct ShardMsg {
   /// it, so the certifier's commit gating sees a consistent prefix.
   bool emit_terminal = false;
   TimeInterval txn_first_op;
-  /// kMigrateOut/kMigrateIn: the key being rebalanced and the handoff
-  /// sequence number pairing the source's extracted bundle with the
-  /// target's install (mailbox slot). Because the router enqueues the
-  /// kMigrateOut *before* any post-move trace is routed to the target, and
-  /// the queues are FIFO, the per-key trace order the verdict-exactness
-  /// argument relies on is preserved across the move.
-  Key mig_key = 0;
-  uint64_t mig_seq = 0;
 };
 
 /// Shard worker → certifier. One queue per shard, produced only by the
@@ -120,7 +109,6 @@ constexpr size_t kMaxCertifierBugs = 10000;
 constexpr uint64_t kRouterSafeEvery = 64;   ///< traces between safe recomputes
 constexpr uint64_t kGaugeSyncEvery = 64;    ///< router gauge refresh cadence
 constexpr int kDrainBudget = 256;   ///< shard messages per worker claim
-constexpr uint64_t kHotSampleMask = 7;  ///< sample 1-in-8 traces into sketch
 
 void AccumulateStats(VerifierStats& into, const VerifierStats& from) {
   into.traces_processed += from.traces_processed;
@@ -356,19 +344,12 @@ struct ShardedLeopard::Impl {
     scratch_writes.resize(opts.n_shards);
     scratch_absent.resize(opts.n_shards);
     touched_flag.assign(opts.n_shards, 0);
-    shard_load.assign(opts.n_shards, 0);
     shard_stall_ns.assign(opts.n_shards, 0);
     shard_stall_event_ns.assign(opts.n_shards, 0);
 
     if (opts.metrics != nullptr) {
       steal_batches_ctr = opts.metrics->counter("steal.batches");
       steal_msgs_ctr = opts.metrics->counter("steal.msgs");
-      if (opts.enable_rebalance) {
-        reb_checks_ctr = opts.metrics->counter("rebalance.checks");
-        reb_migrations_ctr = opts.metrics->counter("rebalance.migrations");
-        reb_overrides_gauge = opts.metrics->gauge("rebalance.overrides");
-        reb_epoch_gauge = opts.metrics->gauge("rebalance.epoch");
-      }
     }
 
     shards.reserve(opts.n_shards);
@@ -458,17 +439,6 @@ struct ShardedLeopard::Impl {
         break;
     }
 
-    if (opts.enable_rebalance) {
-      if ((router_traces & kHotSampleMask) == 0) {
-        for (const auto& w : trace.write_set) HotTouch(w.key);
-        for (const auto& r : trace.read_set) HotTouch(r.key);
-      }
-      if (++traces_since_rebalance >= opts.rebalance_check_every) {
-        traces_since_rebalance = 0;
-        MaybeRebalance();
-      }
-    }
-
     if (!trace_depth_gauges.empty() &&
         ++traces_since_gauges >= kGaugeSyncEvery) {
       traces_since_gauges = 0;
@@ -516,7 +486,7 @@ struct ShardedLeopard::Impl {
     }
   }
 
-  void Send(uint32_t s, ShardMsg&& msg, TxnId txn, TxnRoute& route) {
+  void Send(uint32_t s, ShardMsg&& msg, TxnRoute& route) {
     msg.frontier = frontier;
     msg.safe_bound = router_safe;
     const uint64_t bit = 1ULL << s;
@@ -525,16 +495,6 @@ struct ShardedLeopard::Impl {
       msg.has_txn_begin = true;
       msg.txn_begin = route.first_op;
     }
-    (void)txn;
-    ++shard_load[s];
-    PushToShard(s, std::move(msg));
-  }
-
-  /// Control-plane send (migration handoffs): piggybacks the frontier and
-  /// safe bound like Send but carries no transaction context.
-  void SendControl(uint32_t s, ShardMsg&& msg) {
-    msg.frontier = frontier;
-    msg.safe_bound = router_safe;
     PushToShard(s, std::move(msg));
   }
 
@@ -566,126 +526,10 @@ struct ShardedLeopard::Impl {
     (void)q.Push(std::move(msg));
   }
 
-  /// Live key → shard mapping: routing-table override first, hash second.
-  uint32_t ShardOf(Key key) const {
-    if (route_overrides.size() != 0) {
-      auto it = route_overrides.find(key);
-      if (it != route_overrides.end()) return it->second;
-    }
-    return ShardOfKey(key, opts.n_shards);
-  }
-
-  /// SpaceSaving top-k sketch over sampled key touches: an exact match
-  /// bumps its slot; a miss claims the minimum slot, inheriting its count
-  /// (the classic overestimate that keeps genuinely hot keys resident).
-  void HotTouch(Key key) {
-    HotSlot* min_slot = &hot[0];
-    for (HotSlot& h : hot) {
-      if (h.count > 0 && h.key == key) {
-        ++h.count;
-        return;
-      }
-      if (h.count < min_slot->count) min_slot = &h;
-    }
-    min_slot->key = key;
-    ++min_slot->count;
-  }
-
-  void MaybeRebalance() {
-    ++rebalance_checks;
-    uint64_t total = 0;
-    uint32_t hottest = 0;
-    uint32_t coldest = 0;
-    for (uint32_t s = 0; s < opts.n_shards; ++s) {
-      total += shard_load[s];
-      if (shard_load[s] > shard_load[hottest]) hottest = s;
-      if (shard_load[s] < shard_load[coldest]) coldest = s;
-    }
-    const double mean = static_cast<double>(total) / opts.n_shards;
-    if (total > 0 && hottest != coldest &&
-        static_cast<double>(shard_load[hottest]) >
-            opts.rebalance_imbalance * mean) {
-      std::array<HotSlot, kHotSlots> by_heat = hot;
-      std::sort(by_heat.begin(), by_heat.end(),
-                [](const HotSlot& a, const HotSlot& b) {
-                  return a.count > b.count;
-                });
-      uint64_t sampled = 0;
-      for (const HotSlot& h : by_heat) sampled += h.count;
-      // A single dominant key cannot be split below one shard: when it
-      // draws the majority of sampled traffic and already lives on the
-      // hottest shard, dedicate that shard to it by migrating the *other*
-      // hot residents away instead.
-      const bool dominant = sampled > 0 && by_heat[0].count * 2 > sampled &&
-                            ShardOf(by_heat[0].key) == hottest;
-      uint32_t moves = 0;
-      for (size_t i = dominant ? 1 : 0;
-           i < by_heat.size() && moves < opts.rebalance_max_moves; ++i) {
-        if (by_heat[i].count == 0) break;
-        if (ShardOf(by_heat[i].key) != hottest) continue;
-        if (MigrateKey(by_heat[i].key, coldest)) ++moves;
-      }
-    }
-    // Exponential decay: the sketch and the load counters track the
-    // current phase of the workload, not its whole history.
-    for (uint64_t& l : shard_load) l >>= 1;
-    for (HotSlot& h : hot) h.count >>= 1;
-    if (reb_checks_ctr != nullptr) {
-      reb_checks_ctr->Store(rebalance_checks);
-      reb_migrations_ctr->Store(rebalance_migrations);
-      reb_overrides_gauge->Set(static_cast<int64_t>(route_overrides.size()));
-      reb_epoch_gauge->Set(static_cast<int64_t>(route_epoch));
-    }
-  }
-
-  /// Issues the in-order handoff moving `key`'s mirrored state to
-  /// `target`: kMigrateOut to the current owner (extract + deposit), then
-  /// kMigrateIn to the target (collect + install), then the routing-table
-  /// update so every subsequently routed trace lands on the target. FIFO
-  /// queues make the cut exact — no trace routed before the move can reach
-  /// the target after it, and vice versa.
-  bool MigrateKey(Key key, uint32_t target) {
-    if (target >= opts.n_shards) return false;
-    const uint32_t source = ShardOf(key);
-    if (source == target) return false;
-    const bool overridden = route_overrides.find(key) != route_overrides.end();
-    if (!overridden &&
-        route_overrides.size() >= opts.rebalance_max_overrides) {
-      return false;
-    }
-    const uint64_t seq = mig_seq_next++;
-    ShardMsg out_msg;
-    out_msg.kind = ShardMsg::Kind::kMigrateOut;
-    out_msg.mig_key = key;
-    out_msg.mig_seq = seq;
-    SendControl(source, std::move(out_msg));
-    ShardMsg in_msg;
-    in_msg.kind = ShardMsg::Kind::kMigrateIn;
-    in_msg.mig_key = key;
-    in_msg.mig_seq = seq;
-    SendControl(target, std::move(in_msg));
-    if (target == ShardOfKey(key, opts.n_shards)) {
-      route_overrides.erase(key);  // moved home: no override needed
-    } else {
-      route_overrides[key] = target;
-    }
-    ++route_epoch;
-    ++rebalance_migrations;
-    if (opts.events != nullptr) {
-      opts.events->Recordf(obs::EventSeverity::kInfo, "router",
-                           "migrating key %llu: shard %u -> %u (epoch %llu)",
-                           static_cast<unsigned long long>(key),
-                           static_cast<unsigned>(source),
-                           static_cast<unsigned>(target),
-                           static_cast<unsigned long long>(route_epoch));
-    }
-    return true;
-  }
-
   void RouteWrite(const Trace& trace, TxnRoute& route) {
     touched.clear();
     for (const auto& w : trace.write_set) {
-      const uint32_t s = ShardOf(w.key);
+      const uint32_t s = ShardOfKey(w.key, opts.n_shards);
       if (!touched_flag[s]) {
         touched_flag[s] = 1;
         touched.push_back(s);
@@ -704,7 +548,7 @@ struct ShardedLeopard::Impl {
       msg.trace.ingest_ns = trace.ingest_ns;
       msg.trace.write_set = std::move(scratch_writes[s]);
       scratch_writes[s] = {};
-      Send(s, std::move(msg), trace.txn, route);
+      Send(s, std::move(msg), route);
     }
   }
 
@@ -732,12 +576,12 @@ struct ShardedLeopard::Impl {
       }
     };
     for (const auto& r : trace.read_set) {
-      const uint32_t s = ShardOf(r.key);
+      const uint32_t s = ShardOfKey(r.key, opts.n_shards);
       touch(s);
       scratch_reads[s].push_back(r);
     }
     for (Key key : expanded_absent) {
-      const uint32_t s = ShardOf(key);
+      const uint32_t s = ShardOfKey(key, opts.n_shards);
       touch(s);
       scratch_absent[s].push_back(key);
     }
@@ -755,7 +599,7 @@ struct ShardedLeopard::Impl {
       msg.trace.absent_reads = std::move(scratch_absent[s]);
       scratch_reads[s] = {};
       scratch_absent[s] = {};
-      Send(s, std::move(msg), trace.txn, route);
+      Send(s, std::move(msg), route);
     }
   }
 
@@ -776,7 +620,7 @@ struct ShardedLeopard::Impl {
         msg.emit_terminal = true;
         msg.txn_first_op = route.first_op;
       }
-      Send(s, std::move(msg), trace.txn, route);
+      Send(s, std::move(msg), route);
     }
   }
 
@@ -823,40 +667,13 @@ struct ShardedLeopard::Impl {
   }
 
   /// Drains up to kDrainBudget messages from a claimed shard. Returns the
-  /// number consumed; 0 means the queue was empty *or* its head is a
-  /// kMigrateIn whose bundle has not been deposited yet — the worker
-  /// releases the claim and some worker retries after the source shard
-  /// progresses (the source's kMigrateOut is always poppable, so the
-  /// handoff cannot deadlock, even with a single worker).
+  /// number consumed; 0 means the queue was empty.
   size_t DrainShard(Shard& shard) {
     SpscQueue<EdgeMsg>* out = certifier != nullptr ? &shard.edges : nullptr;
     size_t processed = 0;
-    for (int budget = kDrainBudget; budget > 0; --budget) {
-      ShardMsg* front = shard.in.Front();
-      if (front == nullptr) break;
-      if (front->kind == ShardMsg::Kind::kMigrateIn) {
-        std::unique_ptr<Leopard::KeyStateBundle> bundle;
-        {
-          std::lock_guard<std::mutex> lock(mig_mu);
-          auto it = mig_mailbox.find(front->mig_seq);
-          if (it != mig_mailbox.end()) {
-            bundle = std::move(it->second);
-            mig_mailbox.erase(it);
-          }
-        }
-        if (bundle == nullptr) break;  // source not there yet; retry later
-        shard.leopard->SetSafeTsBound(front->safe_bound);
-        shard.leopard->InstallKeyState(std::move(bundle));
-        // Install *before* the frontier advance so migrated parked reads
-        // that are already due flush here, at the same frontier the source
-        // (and the single-threaded oracle) would have used.
-        shard.leopard->AdvanceFrontier(front->frontier);
-        shard.in.PopFront();
-        ++processed;
-        continue;
-      }
-      ShardMsg msg = std::move(*front);
-      shard.in.PopFront();
+    ShardMsg msg;
+    for (int budget = kDrainBudget; budget > 0 && shard.in.TryPop(msg);
+         --budget) {
       ++processed;
       if (msg.kind == ShardMsg::Kind::kFinish) {
         shard.leopard->Finish();
@@ -884,20 +701,6 @@ struct ShardedLeopard::Impl {
           ++qz_shard_acks;
         }
         qz_cv.notify_all();
-        continue;
-      }
-      if (msg.kind == ShardMsg::Kind::kMigrateOut) {
-        // Flush everything due at the routing cut first, then hand the
-        // key's entire mirrored state to the mailbox. FIFO guarantees
-        // every pre-migration trace for the key was already applied here.
-        shard.leopard->SetSafeTsBound(msg.safe_bound);
-        shard.leopard->AdvanceFrontier(msg.frontier);
-        std::unique_ptr<Leopard::KeyStateBundle> bundle =
-            shard.leopard->ExtractKeyState(msg.mig_key);
-        {
-          std::lock_guard<std::mutex> lock(mig_mu);
-          mig_mailbox.emplace(msg.mig_seq, std::move(bundle));
-        }
         continue;
       }
       RecordStageVerify(msg.trace.ingest_ns);
@@ -1084,25 +887,6 @@ struct ShardedLeopard::Impl {
       w.PutU8(static_cast<uint8_t>(route.il));
       w.PutU64(route.seen_mask);
     }
-    // Routing table + skew rebalancer. The migration mailbox is provably
-    // empty at a quiescent point: every kMigrateOut deposit precedes its
-    // shard's barrier ack, and every kMigrateIn blocks its shard's barrier
-    // until the install consumed the bundle.
-    w.PutU64(route_epoch);
-    w.PutU64(mig_seq_next);
-    w.PutU64(traces_since_rebalance);
-    w.PutU64(rebalance_checks);
-    w.PutU64(rebalance_migrations);
-    w.PutU32(static_cast<uint32_t>(route_overrides.size()));
-    for (const auto& [key, target] : route_overrides) {
-      w.PutU64(key);
-      w.PutU32(target);
-    }
-    for (uint32_t i = 0; i < opts.n_shards; ++i) w.PutU64(shard_load[i]);
-    for (const HotSlot& h : hot) {
-      w.PutU64(h.key);
-      w.PutU64(h.count);
-    }
     w.PutBool(certifier != nullptr);
     if (certifier == nullptr) return;
     certifier->graph.SaveState(w);
@@ -1180,35 +964,6 @@ struct ShardedLeopard::Impl {
       route.il = static_cast<IsolationLevel>(il);
       if (!(s = r.GetU64(route.seen_mask)).ok()) return s;
       txn_routes.emplace(txn, route);
-    }
-    if (!(s = r.GetU64(route_epoch)).ok()) return s;
-    if (!(s = r.GetU64(mig_seq_next)).ok()) return s;
-    if (!(s = r.GetU64(traces_since_rebalance)).ok()) return s;
-    if (!(s = r.GetU64(rebalance_checks)).ok()) return s;
-    if (!(s = r.GetU64(rebalance_migrations)).ok()) return s;
-    uint32_t n_overrides = 0;
-    if (!(s = r.GetU32(n_overrides)).ok()) return s;
-    if (!r.CountFits(n_overrides, 8 + 4)) {
-      return Status::InvalidArgument("sharded state: absurd override count");
-    }
-    route_overrides.clear();
-    for (uint32_t i = 0; i < n_overrides; ++i) {
-      Key key = 0;
-      uint32_t target = 0;
-      if (!(s = r.GetU64(key)).ok()) return s;
-      if (!(s = r.GetU32(target)).ok()) return s;
-      if (target >= opts.n_shards) {
-        return Status::InvalidArgument("sharded state: bad override shard");
-      }
-      route_overrides[key] = target;
-    }
-    shard_load.assign(opts.n_shards, 0);
-    for (uint32_t i = 0; i < opts.n_shards; ++i) {
-      if (!(s = r.GetU64(shard_load[i])).ok()) return s;
-    }
-    for (HotSlot& h : hot) {
-      if (!(s = r.GetU64(h.key)).ok()) return s;
-      if (!(s = r.GetU64(h.count)).ok()) return s;
     }
     bool has_certifier = false;
     if (!(s = r.GetBool(has_certifier)).ok()) return s;
@@ -1318,9 +1073,8 @@ struct ShardedLeopard::Impl {
       report.bugs = single->bugs();
       return;
     }
-    // kFinish is routed last on every shard: FIFO (and the rule that a
-    // worker never skips past a deferred kMigrateIn) guarantees no
-    // migration handoff is still in flight when the shards wind down.
+    // kFinish is routed last on every shard: FIFO guarantees each shard
+    // has applied everything routed to it before it winds down.
     for (auto& shard : shards) {
       ShardMsg msg;
       msg.kind = ShardMsg::Kind::kFinish;
@@ -1387,28 +1141,6 @@ struct ShardedLeopard::Impl {
   std::atomic<uint64_t> steal_batches{0};
   std::atomic<uint64_t> steal_msgs{0};
 
-  // Key-migration mailbox: extracted per-key bundles in flight from a
-  // source worker to a target worker, keyed by handoff sequence number.
-  std::mutex mig_mu;
-  std::unordered_map<uint64_t, std::unique_ptr<Leopard::KeyStateBundle>>
-      mig_mailbox;
-
-  // Routing table + skew rebalancer (router thread only; workers never
-  // read these — the routing cut travels inside the message stream).
-  static constexpr size_t kHotSlots = 16;
-  struct HotSlot {
-    Key key = 0;
-    uint64_t count = 0;
-  };
-  FlatHashMap<Key, uint32_t> route_overrides;
-  uint64_t route_epoch = 0;
-  uint64_t mig_seq_next = 1;
-  uint64_t traces_since_rebalance = 0;
-  uint64_t rebalance_checks = 0;
-  uint64_t rebalance_migrations = 0;
-  std::vector<uint64_t> shard_load;
-  std::array<HotSlot, kHotSlots> hot{};
-
   // Per-shard router backpressure attribution (router thread only).
   std::vector<uint64_t> shard_stall_ns;
   std::vector<uint64_t> shard_stall_event_ns;
@@ -1466,10 +1198,6 @@ struct ShardedLeopard::Impl {
   obs::Gauge* cert_batch_max = nullptr;
   obs::Counter* steal_batches_ctr = nullptr;
   obs::Counter* steal_msgs_ctr = nullptr;
-  obs::Counter* reb_checks_ctr = nullptr;
-  obs::Counter* reb_migrations_ctr = nullptr;
-  obs::Gauge* reb_overrides_gauge = nullptr;
-  obs::Gauge* reb_epoch_gauge = nullptr;
   obs::Histogram* stage_verify = nullptr;
   obs::Histogram* stage_certify = nullptr;
   obs::Gauge* gc_safe_gauge = nullptr;
@@ -1533,11 +1261,6 @@ size_t ShardedLeopard::ApproxMemoryBytes() const {
     bytes += impl_->certifier->graph.ApproxBytes();
   }
   return bytes;
-}
-
-void ShardedLeopard::DebugForceMigrate(Key key, uint32_t target_shard) {
-  if (impl_->single != nullptr || impl_->finished) return;
-  (void)impl_->MigrateKey(key, target_shard % impl_->opts.n_shards);
 }
 
 uint32_t ShardedLeopard::ShardOfKey(Key key, uint32_t n_shards) {

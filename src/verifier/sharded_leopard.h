@@ -71,30 +71,13 @@ class ShardedLeopard {
     /// are not pinned to shards: each scans all trace queues (its home shard
     /// first) and *steals* a drain batch from any shard whose queue has
     /// work, so a hot shard's backlog is worked by every idle thread
-    /// instead of pinning one worker while the rest sleep.
+    /// instead of pinning one worker while the rest sleep. Keys never move
+    /// between shards (ShardOfKey is the only routing), so with fewer
+    /// workers than shards stealing is what keeps every shard drained.
     uint32_t n_workers = 0;
     /// Per-queue capacity (rounded up to a power of two). Full queues block
     /// the producer — this bounds the engine's in-flight memory.
     size_t queue_capacity = 8192;
-    /// Skew-adaptive rebalancing: the router samples per-key traffic into a
-    /// small top-k sketch, tracks decayed per-shard load, and when one
-    /// shard's load exceeds `rebalance_imbalance` x the mean it migrates up
-    /// to `rebalance_max_moves` of the hottest keys onto the least-loaded
-    /// shard (or, when a single key dominates, migrates the *other* hot
-    /// keys away so the dominant key keeps a dedicated shard). Migration
-    /// moves the key's whole mirrored state (versions, locks, active-txn
-    /// footprint, parked reads) through an in-order handoff that preserves
-    /// the per-key FIFO the verdict-exactness argument relies on.
-    bool enable_rebalance = false;
-    /// Routed traces between rebalance evaluations.
-    uint64_t rebalance_check_every = 4096;
-    /// Load-imbalance trigger: max shard load > imbalance * mean load.
-    double rebalance_imbalance = 1.5;
-    /// Hot keys migrated per rebalance round.
-    uint32_t rebalance_max_moves = 4;
-    /// Cap on routing-table overrides (keys living off their hash shard);
-    /// bounds router memory and checkpoint size.
-    uint32_t rebalance_max_overrides = 1024;
     /// Shard messages between safe-timestamp reports to the certifier
     /// (drives garbage-collection of the dependency graph).
     uint64_t safe_ts_every = 512;
@@ -139,7 +122,7 @@ class ShardedLeopard {
   void ResumeFromQuiesce();
 
   /// Checkpoint hooks (src/durable): serialize / restore the engine — every
-  /// shard verifier, the router's frontier/safe-ts/routing state, and the
+  /// shard verifier, the router's frontier/safe-ts/per-txn routes, and the
   /// certifier (graph, commit/abort sets, parked edges). Call only while
   /// quiescent (between Quiesce() and ResumeFromQuiesce(), or before any
   /// Process()). LoadState requires the same n_shards and config as the
@@ -157,16 +140,9 @@ class ShardedLeopard {
   /// when quiescent (n_shards == 1, or after Finish()).
   size_t ApproxMemoryBytes() const;
 
-  /// Test hook: migrate `key`'s mirrored state to `target_shard` right now,
-  /// regardless of load. Must be called from the Process() thread (it is a
-  /// router action); no-op when n_shards == 1 or the key already lives
-  /// there. The differential fuzz tests use this to force mid-stream
-  /// migrations at adversarial points.
-  void DebugForceMigrate(Key key, uint32_t target_shard);
-
-  /// Default key → shard mapping (splitmix64 finalizer via HashU64, uniform
-  /// for dense keys). The live engine consults its routing table first —
-  /// rebalanced keys override this.
+  /// Key → shard mapping (splitmix64 finalizer via HashU64, uniform for
+  /// dense keys). Fixed for the engine's lifetime: every access to a key is
+  /// routed to the same shard.
   static uint32_t ShardOfKey(Key key, uint32_t n_shards);
 
  private:

@@ -171,24 +171,6 @@ size_t VersionOrderIndex::Prune(Timestamp safe_ts) {
   return removed;
 }
 
-bool VersionOrderIndex::ExtractKey(Key key, std::vector<VersionEntry>& out) {
-  auto it = map_.find(key);
-  if (it == map_.end()) return false;
-  out = std::move(it->second);
-  list_heap_bytes_ -= out.capacity() * sizeof(VersionEntry);
-  map_.erase(key);
-  multi_version_.erase(key);
-  return true;
-}
-
-void VersionOrderIndex::InstallKey(Key key, std::vector<VersionEntry> list) {
-  if (list.empty()) return;
-  list_heap_bytes_ += list.capacity() * sizeof(VersionEntry);
-  const size_t n = list.size();
-  map_[key] = std::move(list);
-  if (n >= 2) multi_version_.try_emplace(key);
-}
-
 void VersionOrderIndex::SaveState(StateWriter& w) const {
   w.PutU32(static_cast<uint32_t>(map_.size()));
   for (const auto& [key, list] : map_) {

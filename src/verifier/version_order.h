@@ -81,15 +81,6 @@ class VersionOrderIndex {
   /// writer_commit.aft < safe_ts. Returns versions removed.
   size_t Prune(Timestamp safe_ts);
 
-  /// Key-migration handoff (sharded rebalancing): moves `key`'s whole
-  /// version list out of the index, removing the key as if it had never been
-  /// written. Returns false (leaving `out` empty) when the key has no
-  /// versions. InstallKey is the receiving side; installing into an index
-  /// that already has the key is a programming error (the router guarantees
-  /// a key lives on exactly one shard).
-  bool ExtractKey(Key key, std::vector<VersionEntry>& out);
-  void InstallKey(Key key, std::vector<VersionEntry> list);
-
   /// Checkpoint hooks (src/durable): serializes every version list in full.
   /// LoadState replaces the index's contents and rebuilds the derived state
   /// (prune-candidate set, heap-byte accounting) from the loaded lists.

@@ -25,6 +25,7 @@
 #include "common/spsc_queue.h"
 #include "common/state_codec.h"
 #include "durable/checkpoint.h"
+#include "durable/fs.h"
 #include "durable/wal.h"
 #include "harness/online_verifier.h"
 #include "harness/sim_runner.h"
@@ -400,6 +401,58 @@ TEST(CheckpointTest, CorruptNewestFallsBackToOlder) {
   EXPECT_FALSE(store.LoadNewest().ok());
 }
 
+// A checkpoint from before the last payload-layout change carries magic
+// "LEOCKP03". Its bytes are intact (valid CRC) but follow the old layout, so
+// the store must refuse it by magic and fall back exactly as it does for a
+// corrupt file — never hand its payload to the new parser.
+TEST(CheckpointTest, OldFormatMagicIsRefusedAndFallsBack) {
+  const std::string dir = TempDir("ckpt_old_magic");
+  durable::CheckpointStore store;
+  ASSERT_TRUE(store.Init(dir).ok());
+  durable::CheckpointStore::Meta meta;
+  meta.config_fingerprint = 1;
+  meta.n_shards = 4;
+  meta.cut = 5;
+  ASSERT_TRUE(store.Write(meta, std::string(100, 'a')).ok());
+  meta.cut = 9;
+  ASSERT_TRUE(store.Write(meta, std::string(100, 'b')).ok());
+
+  // Re-stamp a file as LEOCKP03 with a recomputed CRC, so the magic is the
+  // only thing that marks it as foreign.
+  auto restamp_old = [](const std::string& path) {
+    auto bytes_or = durable::ReadFileToString(path);
+    ASSERT_TRUE(bytes_or.ok()) << bytes_or.status();
+    std::string bytes = *bytes_or;
+    ASSERT_EQ(bytes.compare(0, 8, "LEOCKP04"), 0);
+    bytes[7] = '3';
+    bytes.resize(bytes.size() - 4);
+    const uint32_t crc = Crc32(bytes.data(), bytes.size());
+    for (int i = 0; i < 4; ++i) {
+      bytes.push_back(static_cast<char>((crc >> (8 * i)) & 0xff));
+    }
+    std::FILE* f = std::fopen(path.c_str(), "wb");
+    ASSERT_NE(f, nullptr) << path;
+    ASSERT_EQ(std::fwrite(bytes.data(), 1, bytes.size(), f), bytes.size());
+    std::fclose(f);
+  };
+
+  auto all = store.List();
+  ASSERT_EQ(all.size(), 2u);
+  restamp_old(all[1].second);
+  auto old = durable::CheckpointStore::ReadCheckpoint(all[1].second);
+  ASSERT_FALSE(old.ok());
+  EXPECT_NE(old.status().message().find("not a checkpoint file"),
+            std::string::npos)
+      << old.status();
+  auto loaded = store.LoadNewest();
+  ASSERT_TRUE(loaded.ok()) << loaded.status();
+  EXPECT_EQ(loaded->meta.cut, 5u);
+  EXPECT_EQ(loaded->payload, std::string(100, 'a'));
+
+  restamp_old(all[0].second);  // no current-format checkpoint left
+  EXPECT_FALSE(store.LoadNewest().ok());
+}
+
 // ---------------------------------------------------------------------------
 // OnlineVerifier save/load across the golden fault matrix
 
@@ -628,13 +681,14 @@ TEST(DurableVerifierTest, ShardedSaveLoadResumes) {
   EXPECT_EQ(BugSet(after.WaitReport().bugs), BugSet(h.bugs));
 }
 
-// Checkpoint/resume straddling live rebalancer state: the first engine
-// rebalances (hair-trigger) and takes forced migrations, so at the cut the
-// routing table holds keys living off their hash shard. The snapshot must
-// carry that table — a resumed engine that re-derived routes by hash would
-// send post-resume traces to shards that no longer own the keys' mirrored
-// state and diverge from the oracle's verdicts.
-TEST(DurableVerifierTest, ShardedEngineSaveLoadResumesMidRebalance) {
+// Engine-level checkpoint round trip on a 4-shard ShardedLeopard, driven
+// directly rather than through OnlineVerifier: Quiesce at the cut, SaveState,
+// ResumeFromQuiesce and run the first engine to the end, then LoadState into
+// a fresh engine and feed it the same tail. Both runs must match the
+// single-shard oracle — the first proves ResumeFromQuiesce really resumes,
+// the second that the payload carries everything the shards, router and
+// certifier need.
+TEST(DurableVerifierTest, ShardedEngineQuiesceSaveLoadResumes) {
   GoldenCase c = GoldenMatrix()[0];  // dropped_lock
   FaultyHistory h = RunWithFaults(c.plan, c.protocol, c.isolation, c.seed);
   ASSERT_FALSE(h.bugs.empty());
@@ -642,38 +696,34 @@ TEST(DurableVerifierTest, ShardedEngineSaveLoadResumesMidRebalance) {
 
   ShardedLeopard::Options eo;
   eo.n_shards = 4;
-  eo.enable_rebalance = true;
-  eo.rebalance_check_every = 64;
-  eo.rebalance_imbalance = 1.05;
 
   auto feed = [&h](ShardedLeopard& engine, size_t begin, size_t end) {
-    for (size_t i = begin; i < end; ++i) {
-      engine.Process(h.traces[i]);
-      // Same absolute-index schedule on both sides of the cut: the two
-      // halves compose into one continuous migration-riddled run.
-      if (i % 97 == 0) {
-        engine.DebugForceMigrate(static_cast<Key>(i % 60),
-                                 static_cast<uint32_t>(i % 4));
-      }
-    }
+    for (size_t i = begin; i < end; ++i) engine.Process(h.traces[i]);
   };
 
   std::string payload;
+  ShardedLeopard before(h.config, eo);
+  feed(before, 0, cut);
+  before.Quiesce();
   {
-    ShardedLeopard before(h.config, eo);
-    feed(before, 0, cut);
-    before.Quiesce();
     StateWriter w(payload);
     before.SaveState(w);
-    before.ResumeFromQuiesce();
-    before.Finish();  // "crash": the rest of this run is discarded
   }
+  before.ResumeFromQuiesce();
+  feed(before, cut, h.traces.size());
+  before.Finish();
+  EXPECT_EQ(BugSet(before.report().bugs), BugSet(h.bugs));
+
   ShardedLeopard after(h.config, eo);
   StateReader r(payload);
   ASSERT_TRUE(after.LoadState(r).ok());
   feed(after, cut, h.traces.size());
   after.Finish();
   EXPECT_EQ(BugSet(after.report().bugs), BugSet(h.bugs));
+  EXPECT_EQ(after.report().stats.traces_processed,
+            before.report().stats.traces_processed);
+  EXPECT_EQ(after.report().stats.reads_verified,
+            before.report().stats.reads_verified);
 }
 
 TEST(DurableVerifierTest, SaveStateAfterFinishIsRejected) {

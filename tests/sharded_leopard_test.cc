@@ -31,45 +31,18 @@ VerifierConfig PgSer() {
                          IsolationLevel::kSerializable);
 }
 
+/// Runs `traces` through a ShardedLeopard with `n_shards` shards drained by
+/// `n_workers` worker threads (0 = one per shard).
 VerifyReport RunEngine(const VerifierConfig& config,
-                 const std::vector<Trace>& traces, uint32_t n_shards) {
-  ShardedLeopard::Options options;
-  options.n_shards = n_shards;
-  options.queue_capacity = 1024;
-  options.safe_ts_every = 64;
-  ShardedLeopard engine(config, options);
-  for (const Trace& t : traces) engine.Process(t);
-  engine.Finish();
-  return engine.report();
-}
-
-/// Like RunEngine, but exercises the skew-adaptive machinery: optional
-/// forced key migrations every `migrate_every` processed traces (random key
-/// to a random shard — adversarial mid-stream handoffs), the automatic
-/// rebalancer with an aggressive trigger, and a configurable worker count.
-VerifyReport RunEngineMigrating(const VerifierConfig& config,
-                                const std::vector<Trace>& traces,
-                                uint32_t n_shards, uint64_t seed,
-                                uint64_t migrate_every, bool enable_rebalance,
-                                uint32_t n_workers = 0) {
+                       const std::vector<Trace>& traces, uint32_t n_shards,
+                       uint32_t n_workers = 0) {
   ShardedLeopard::Options options;
   options.n_shards = n_shards;
   options.n_workers = n_workers;
   options.queue_capacity = 1024;
   options.safe_ts_every = 64;
-  options.enable_rebalance = enable_rebalance;
-  options.rebalance_check_every = 128;
-  options.rebalance_imbalance = 1.05;  // hair trigger: plain hash noise fires
   ShardedLeopard engine(config, options);
-  Rng rng(seed * 0x9e3779b97f4a7c15ull + 1);
-  uint64_t processed = 0;
-  for (const Trace& t : traces) {
-    engine.Process(t);
-    if (migrate_every != 0 && (++processed % migrate_every) == 0) {
-      engine.DebugForceMigrate(rng.Uniform(fuzzutil::kKeys),
-                               static_cast<uint32_t>(rng.Uniform(n_shards)));
-    }
-  }
+  for (const Trace& t : traces) engine.Process(t);
   engine.Finish();
   return engine.report();
 }
@@ -244,75 +217,6 @@ TEST_P(ShardedDifferential, DroppedCommitMutationFlaggedIdentically) {
   }
 }
 
-// Forced mid-stream migrations at adversarial points (every 5th trace —
-// inside open transactions, between a read and its flush, around
-// terminals) must be verdict- and counter-invisible: the handoff moves the
-// key's whole mirrored state and the FIFO cut preserves per-key order.
-TEST_P(ShardedDifferential, ForcedMigrationsPreserveCleanCountersExactly) {
-  const uint64_t seed = GetParam();
-  History h = BuildSerialHistory(seed, 300);
-  VerifierConfig no_gc = PgSer();
-  no_gc.enable_gc = false;
-  const VerifyReport oracle = RunEngine(no_gc, h.traces, 1);
-  ASSERT_EQ(oracle.stats.TotalViolations(), 0u);
-  for (uint32_t n_shards : {2u, 4u, 7u}) {
-    SCOPED_TRACE("n_shards=" + std::to_string(n_shards));
-    const VerifyReport sharded = RunEngineMigrating(
-        no_gc, h.traces, n_shards, seed, /*migrate_every=*/5,
-        /*enable_rebalance=*/false);
-    EXPECT_EQ(sharded.stats.TotalViolations(), 0u);
-    EXPECT_EQ(oracle.stats.traces_processed, sharded.stats.traces_processed);
-    EXPECT_EQ(oracle.stats.reads_verified, sharded.stats.reads_verified);
-    EXPECT_EQ(oracle.stats.versions_tracked, sharded.stats.versions_tracked);
-    EXPECT_EQ(oracle.stats.deps_total, sharded.stats.deps_total);
-    EXPECT_EQ(oracle.stats.deps_deduced, sharded.stats.deps_deduced);
-  }
-}
-
-// Same adversarial migrations over a *buggy* history: the exact CR bug
-// multiset must survive arbitrary mid-stream handoffs.
-TEST_P(ShardedDifferential, ForcedMigrationsPreserveBugVerdicts) {
-  const uint64_t seed = GetParam();
-  History h = BuildSerialHistory(seed, 300);
-  bool mutated = false;
-  for (Trace& t : h.traces) {
-    if (t.op == OpType::kRead && t.read_set.size() == 1) {
-      t.read_set[0].value ^= 0x5a5a;  // value nobody ever wrote
-      mutated = true;
-      break;
-    }
-  }
-  ASSERT_TRUE(mutated);
-  const VerifyReport oracle = RunEngine(PgSer(), h.traces, 1);
-  ASSERT_GE(oracle.stats.cr_violations, 1u);
-  for (uint32_t n_shards : {2u, 4u}) {
-    ExpectSameVerdicts(
-        oracle,
-        RunEngineMigrating(PgSer(), h.traces, n_shards, seed,
-                           /*migrate_every=*/5, /*enable_rebalance=*/false),
-        n_shards, seed);
-  }
-}
-
-// The automatic rebalancer (hair-trigger imbalance threshold, so plain
-// hash noise across 20 keys fires real migrations) plus forced handoffs:
-// verdicts stay identical to the oracle on clean and mutated histories.
-TEST_P(ShardedDifferential, RebalanceOnPreservesVerdicts) {
-  const uint64_t seed = GetParam();
-  History h = BuildSerialHistory(seed, 300);
-  const VerifyReport oracle = RunEngine(PgSer(), h.traces, 1);
-  ASSERT_EQ(oracle.stats.TotalViolations(), 0u);
-  for (uint32_t n_shards : {2u, 4u}) {
-    SCOPED_TRACE("n_shards=" + std::to_string(n_shards));
-    const VerifyReport sharded = RunEngineMigrating(
-        PgSer(), h.traces, n_shards, seed, /*migrate_every=*/13,
-        /*enable_rebalance=*/true);
-    EXPECT_EQ(sharded.stats.TotalViolations(), 0u);
-    EXPECT_EQ(oracle.stats.reads_verified, sharded.stats.reads_verified);
-    EXPECT_EQ(oracle.stats.versions_tracked, sharded.stats.versions_tracked);
-  }
-}
-
 // Worker counts decoupled from the shard count: a single worker draining
 // every shard, and more workers than shards (pure stealing), both produce
 // exact counters.
@@ -325,9 +229,8 @@ TEST_P(ShardedDifferential, WorkerCountsPreserveCountersExactly) {
   ASSERT_EQ(oracle.stats.TotalViolations(), 0u);
   for (uint32_t n_workers : {1u, 2u, 8u}) {
     SCOPED_TRACE("n_workers=" + std::to_string(n_workers));
-    const VerifyReport sharded = RunEngineMigrating(
-        no_gc, h.traces, /*n_shards=*/4, seed, /*migrate_every=*/7,
-        /*enable_rebalance=*/true, n_workers);
+    const VerifyReport sharded =
+        RunEngine(no_gc, h.traces, /*n_shards=*/4, n_workers);
     EXPECT_EQ(sharded.stats.TotalViolations(), 0u);
     EXPECT_EQ(oracle.stats.reads_verified, sharded.stats.reads_verified);
     EXPECT_EQ(oracle.stats.deps_total, sharded.stats.deps_total);
@@ -377,50 +280,6 @@ TEST(ShardedLeopard, CrossShardCycleDetectedByCertifier) {
   EXPECT_EQ(sharded.stats.cr_violations, 0u);
   EXPECT_EQ(sharded.stats.me_violations, 0u);
   EXPECT_EQ(sharded.stats.fuw_violations, 0u);
-}
-
-// The write-skew cycle again, but with the keys migrated mid-transaction:
-// x moves onto y's shard after the reads (the two rw antidependencies are
-// then deduced on one shard), and y moves to a third shard before the
-// commits. The certifier must still close the cycle.
-TEST(ShardedLeopard, CrossShardCycleSurvivesMidStreamMigration) {
-  VerifierConfig config = PgSer();
-  config.certifier = CertifierMode::kCycle;
-
-  const Key x = 0;
-  Key y = 1;
-  while (ShardedLeopard::ShardOfKey(y, 4) == ShardedLeopard::ShardOfKey(x, 4)) {
-    ++y;
-  }
-  const Value x0 = MakeLoadValue(x), y0 = MakeLoadValue(y);
-  const Value y1 = MakeClientValue(1, 1), x2 = MakeClientValue(2, 2);
-
-  ShardedLeopard::Options options;
-  options.n_shards = 4;
-  options.queue_capacity = 1024;
-  options.safe_ts_every = 64;
-  ShardedLeopard engine(config, options);
-  engine.Process(MakeWriteTrace(kLoadTxnId, 0, {10, 13}, {{x, x0}, {y, y0}}));
-  engine.Process(MakeCommitTrace(kLoadTxnId, 0, {20, 23}));
-  engine.Process(MakeReadTrace(1, 1, {30, 33}, {{x, x0}}));
-  engine.Process(MakeReadTrace(2, 2, {40, 43}, {{y, y0}}));
-  engine.DebugForceMigrate(x, ShardedLeopard::ShardOfKey(y, 4));
-  engine.Process(MakeWriteTrace(1, 1, {50, 53}, {{y, y1}}));
-  engine.Process(MakeWriteTrace(2, 2, {60, 63}, {{x, x2}}));
-  uint32_t third = 0;
-  while (third == ShardedLeopard::ShardOfKey(x, 4) ||
-         third == ShardedLeopard::ShardOfKey(y, 4)) {
-    ++third;
-  }
-  engine.DebugForceMigrate(y, third);
-  engine.Process(MakeCommitTrace(1, 1, {70, 73}));
-  engine.Process(MakeCommitTrace(2, 2, {80, 83}));
-  engine.Finish();
-
-  EXPECT_GE(engine.report().stats.sc_violations, 1u);
-  EXPECT_EQ(engine.report().stats.cr_violations, 0u);
-  EXPECT_EQ(engine.report().stats.me_violations, 0u);
-  EXPECT_EQ(engine.report().stats.fuw_violations, 0u);
 }
 
 // Range reads are expanded by the router before projection; the per-key

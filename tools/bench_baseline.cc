@@ -10,10 +10,10 @@
 //   awdit         — AWDIT-style weak-isolation baseline checker (causal
 //                   level) over the same BlindW-RW history, for the
 //                   Leopard-vs-optimal-weak-tester comparison row;
-//   sharded_zipf  — zipfian (theta=0.99) YCSB traces through the sharded
-//                   engine with skew-adaptive rebalancing enabled (hot-key
-//                   migration + work stealing + batched SC certification);
-//                   guards the skew-handling path end to end.
+//   sharded_zipf  — zipfian (theta=0.99) YCSB traces through the 4-shard
+//                   engine (static hash routing + work stealing + batched SC
+//                   certification); guards the skewed sharded path end to
+//                   end.
 //
 // A `calib_mops` score (fixed integer-mixing loop) normalizes scores across
 // machines: CI compares normalized throughput against the committed
@@ -173,7 +173,6 @@ Score MeasureShardedZipf(const Options& opt) {
   for (int r = 0; r < opt.repeat; ++r) {
     ShardedLeopard::Options so;
     so.n_shards = 4;
-    so.enable_rebalance = true;
     ShardedLeopard engine(
         ConfigForMiniDb(Protocol::kMvcc2plSsi, IsolationLevel::kSerializable),
         so);
