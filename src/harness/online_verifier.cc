@@ -1,6 +1,7 @@
 #include "harness/online_verifier.h"
 
 #include <cassert>
+#include <chrono>
 #include <utility>
 
 #include "obs/watchdog.h"
@@ -226,6 +227,7 @@ void OnlineVerifier::Loop() {
       }
       batch.clear();
       lock.lock();
+      progress_cv_.notify_all();
       continue;  // input may have arrived while we were verifying
     }
     if (sealed_ && open_clients_ == 0 && pipeline_.Exhausted()) break;
@@ -257,6 +259,23 @@ void OnlineVerifier::Loop() {
 
 void OnlineVerifier::DeliverNewBugs(const std::vector<BugDescriptor>& bugs) {
   while (bugs_delivered_ < bugs.size()) on_bug_(bugs[bugs_delivered_++]);
+}
+
+uint64_t OnlineVerifier::WaitForProgress(uint64_t seen, uint64_t timeout_ms,
+                                         const std::atomic<bool>& cancel) {
+  // The predicate runs under mu_, which the dispatcher holds when it
+  // notifies after publishing verified_bytes_: no wakeup is lost.
+  std::unique_lock<std::mutex> lock(mu_);
+  progress_cv_.wait_for(lock, std::chrono::milliseconds(timeout_ms), [&] {
+    return verified_bytes_.load(std::memory_order_relaxed) != seen ||
+           cancel.load(std::memory_order_relaxed);
+  });
+  return verified_bytes_.load(std::memory_order_relaxed);
+}
+
+void OnlineVerifier::NotifyProgressWaiters() {
+  std::lock_guard<std::mutex> lock(mu_);
+  progress_cv_.notify_all();
 }
 
 uint64_t OnlineVerifier::ApproxBufferedBytes() const {

@@ -156,6 +156,15 @@ class OnlineVerifier {
     return verified_bytes_.load(std::memory_order_relaxed);
   }
 
+  /// Blocks until verified_bytes() differs from `seen`, `cancel` is set, or
+  /// `timeout_ms` passes; returns verified_bytes(). The dispatcher notifies
+  /// once per verified batch, so a producer under backpressure sleeps
+  /// until there is room instead of polling. Whoever sets `cancel` calls
+  /// NotifyProgressWaiters() afterwards.
+  uint64_t WaitForProgress(uint64_t seen, uint64_t timeout_ms,
+                           const std::atomic<bool>& cancel);
+  void NotifyProgressWaiters();
+
   /// Approximate bytes of traces pushed but not yet verified (buffered in
   /// the pipeline). The durable server re-seeds its backpressure accounting
   /// from verified_bytes() + this after a resume.
@@ -190,6 +199,7 @@ class OnlineVerifier {
   mutable std::mutex mu_;
   std::condition_variable producer_cv_;  // signals: new input available
   std::condition_variable done_cv_;      // signals: verification finished
+  std::condition_variable progress_cv_;  // signals: a batch was verified
   TwoLevelPipeline pipeline_;
   ShardedLeopard engine_;
   std::atomic<uint64_t> verified_{0};

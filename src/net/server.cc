@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <thread>
 
 #include "common/state_codec.h"
 #include "diagnose/report.h"
@@ -16,7 +15,6 @@ namespace leopard {
 namespace net {
 
 namespace {
-constexpr uint64_t kPollMs = 200;      // recv/accept poll quantum
 constexpr uint64_t kSendTimeoutMs = 5000;
 constexpr size_t kRecvChunk = 64 * 1024;
 }  // namespace
@@ -95,7 +93,6 @@ Status VerifierServer::Start() {
       gate_closed_ = true;
     }
   }
-  accepting_.store(true, std::memory_order_release);
   accept_thread_ = std::thread([this] { AcceptLoop(); });
   if (durable_ && opts_.checkpoint_interval_ms > 0) {
     ckpt_thread_ = std::thread([this] { CheckpointLoop(); });
@@ -116,15 +113,13 @@ void VerifierServer::AcceptLoop() {
   obs::Watchdog::Slot* wd = opts_.watchdog != nullptr
                                 ? opts_.watchdog->Register("net.acceptor")
                                 : nullptr;
-  while (accepting_.load(std::memory_order_acquire)) {
-    // Accept polls at kPollMs, so one beat per iteration keeps the slot
-    // fresh regardless of traffic.
-    if (wd != nullptr) wd->Beat();
-    auto sock = listener_.Accept(kPollMs);
-    if (!sock.ok()) {
-      if (sock.status().code() == StatusCode::kBusy) continue;
-      break;  // listener closed (shutdown) or fatal
-    }
+  while (true) {
+    // Blocks until a client connects or Shutdown()/WaitReport() wakes the
+    // listener — idleness between connections, not a wedge.
+    if (wd != nullptr) wd->Suspend();
+    auto sock = listener_.Accept();
+    if (wd != nullptr) wd->Resume();
+    if (!sock.ok()) break;  // woken by a drain, or fatal
     std::lock_guard<std::mutex> lock(mu_);
     if (stopping_.load(std::memory_order_relaxed)) break;
     auto session = std::make_unique<Session>();
@@ -149,37 +144,36 @@ void VerifierServer::ReaderLoop(Session& session) {
     std::snprintf(name, sizeof(name), "net.session%u.reader", session.id);
     session.wd_slot = opts_.watchdog->Register(name);
   }
-  session.sock.SetRecvTimeoutMs(kPollMs);
+  // The receive timeout is the idle deadline itself: Recv wakes on data, on
+  // EOF (including the ShutdownBoth of FailSession, SendToSession and
+  // WaitReport), or after idle_timeout_ms of silence.
+  session.sock.SetRecvTimeoutMs(opts_.idle_timeout_ms);
   session.sock.SetSendTimeoutMs(kSendTimeoutMs);
   FrameDecoder decoder(opts_.max_frame_bytes);
   char buf[kRecvChunk];
-  uint64_t idle_since_ns = obs::NowNs();
   bool alive = true;
   while (alive) {
-    // Recv polls at kPollMs; a beat per iteration covers both the idle and
-    // the busy path.
-    if (session.wd_slot != nullptr) session.wd_slot->Beat();
+    // A reader waiting on its peer is idle, not wedged.
+    if (session.wd_slot != nullptr) session.wd_slot->Suspend();
     auto got = session.sock.Recv(buf, sizeof(buf));
+    if (session.wd_slot != nullptr) session.wd_slot->Resume();
     if (!got.ok()) {
       if (got.status().code() != StatusCode::kBusy) break;  // peer gone
-      // Timeout tick: enforce the idle budget, but only on sessions that
-      // still owe us stream data — a drained session legitimately sits
-      // idle waiting for the server-wide report.
+      // Idle deadline: enforced only on sessions that still owe us stream
+      // data — a drained session legitimately sits idle waiting for the
+      // server-wide report.
       bool all_closed =
           session.n_streams > 0 &&
           std::all_of(session.stream_closed.begin(),
                       session.stream_closed.end(),
                       [](uint8_t c) { return c != 0; });
-      if (!all_closed &&
-          obs::NowNs() - idle_since_ns > opts_.idle_timeout_ms * 1000000ull) {
+      if (!all_closed) {
         FailSession(session, "idle timeout");
         break;
       }
-      if (session.defunct.load(std::memory_order_relaxed)) break;
       continue;
     }
     if (*got == 0) break;  // orderly EOF
-    idle_since_ns = obs::NowNs();
     if (m_bytes_in_ != nullptr) m_bytes_in_->Inc(*got);
     decoder.Feed(buf, *got);
     while (alive) {
@@ -221,11 +215,7 @@ bool VerifierServer::HandleFrame(Session& session, Frame frame) {
         bool all_closed = std::all_of(session.stream_closed.begin(),
                                       session.stream_closed.end(),
                                       [](uint8_t c) { return c != 0; });
-        if (all_closed && !session.counted_complete.exchange(true)) {
-          sessions_completed_.fetch_add(1, std::memory_order_relaxed);
-          if (m_sessions_done_ != nullptr) m_sessions_done_->Inc();
-          drain_cv_.notify_all();
-        }
+        if (all_closed) CountCompleted(session);
       }
       return true;
     }
@@ -543,24 +533,20 @@ void VerifierServer::Backpressure(Session& session, size_t incoming_bytes) {
         static_cast<unsigned long long>(cur >> 20));
   }
   const uint64_t start_ns = obs::NowNs();
-  uint64_t last_progress_ns = start_ns;
-  uint64_t last_verified = online_->verified_bytes();
+  uint64_t verified = online_->verified_bytes();
   bool overrode = false;
-  while (!stopping_.load(std::memory_order_relaxed)) {
-    // A backpressured reader is TCP flow control doing its job, not a
-    // wedged thread; keep its heartbeat alive for the duration.
-    if (session.wd_slot != nullptr) session.wd_slot->Beat();
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    cur = inflight();
-    if (cur + incoming_bytes <= opts_.max_inflight_bytes) break;
-    uint64_t verified = online_->verified_bytes();
-    if (verified != last_verified) {
-      last_verified = verified;
-      last_progress_ns = obs::NowNs();
-      continue;
-    }
-    if (obs::NowNs() - last_progress_ns >
-        opts_.stall_override_ms * 1000000ull) {
+  // A backpressured reader is TCP flow control doing its job, not a wedged
+  // thread.
+  if (session.wd_slot != nullptr) session.wd_slot->Suspend();
+  // Wakes once per verified batch, on a drain, or after stall_override_ms
+  // without progress. `verified` is read before each room check, so
+  // progress that lands after the check ends the wait at once.
+  while (!stopping_.load(std::memory_order_relaxed) &&
+         inflight() + incoming_bytes > opts_.max_inflight_bytes) {
+    const uint64_t now_verified =
+        online_->WaitForProgress(verified, opts_.stall_override_ms, stopping_);
+    if (now_verified == verified &&
+        !stopping_.load(std::memory_order_relaxed)) {
       // Dispatch is starved on another stream's watermark, not on us;
       // blocking here would deadlock the very stream it waits for. Admit
       // the frame and account the override.
@@ -568,7 +554,9 @@ void VerifierServer::Backpressure(Session& session, size_t incoming_bytes) {
       overrode = true;
       break;
     }
+    verified = now_verified;
   }
+  if (session.wd_slot != nullptr) session.wd_slot->Resume();
   const uint64_t stalled_ns = obs::NowNs() - start_ns;
   if (m_stall_ns_ != nullptr) m_stall_ns_->Inc(stalled_ns);
   if (opts_.events != nullptr) {
@@ -588,7 +576,10 @@ void VerifierServer::SendToSession(Session& session,
   if (session.defunct.load(std::memory_order_relaxed)) return;
   std::lock_guard<std::mutex> lock(session.write_mu);
   Status s = session.sock.SendAll(frame.data(), frame.size());
-  if (!s.ok()) session.defunct.store(true, std::memory_order_relaxed);
+  if (!s.ok()) {
+    session.defunct.store(true, std::memory_order_relaxed);
+    session.sock.ShutdownBoth();  // wake the reader: the session is over
+  }
 }
 
 void VerifierServer::FailSession(Session& session,
@@ -607,28 +598,25 @@ void VerifierServer::FailSession(Session& session,
 
 void VerifierServer::FinishSession(Session& session) {
   bool had_open = false;
-  bool parked = false;
   if (session.n_streams > 0) {
-    bool any_open = false;
-    for (uint32_t i = 0; i < session.n_streams; ++i) {
-      if (!session.stream_closed[i]) any_open = true;
-    }
-    if (any_open && session.resumable &&
-        !stopping_.load(std::memory_order_relaxed)) {
-      // A resumable session that dropped with open streams is expected
-      // back: park its per-stream state (captured as it stands at
-      // disconnect, before the force-close below) so a resume HELLO can
-      // re-admit the same client ids. The streams are still closed in the
-      // verifier meanwhile — an absent client must not pin the watermark.
-      std::lock_guard<std::mutex> lock(mu_);
-      ParkedSession p;
+    // A resumable session that dropped with open streams is expected back:
+    // a resume completes it, so it never counts as completed itself —
+    // whether the drain began before or after we saw its EOF. Its
+    // per-stream state is captured as it stands at disconnect, before the
+    // force-close below.
+    const bool dropped_resumable =
+        session.resumable &&
+        std::any_of(session.stream_closed.begin(), session.stream_closed.end(),
+                    [](uint8_t c) { return c == 0; });
+    ParkedSession p;
+    if (dropped_resumable) {
       p.n_streams = session.n_streams;
       p.stream_ils = session.stream_ils;
       p.last_ts = session.last_ts;
       p.stream_closed = session.stream_closed;
-      parked_.emplace(session.base_client, std::move(p));
-      parked = true;
     }
+    // The streams are closed in the verifier meanwhile — an absent client
+    // must not pin the watermark.
     for (uint32_t i = 0; i < session.n_streams; ++i) {
       if (!session.stream_closed[i]) {
         session.stream_closed[i] = 1;
@@ -636,10 +624,15 @@ void VerifierServer::FinishSession(Session& session) {
         had_open = true;
       }
     }
-    if (!session.counted_complete.exchange(true) && !parked) {
-      sessions_completed_.fetch_add(1, std::memory_order_relaxed);
-      if (m_sessions_done_ != nullptr) m_sessions_done_->Inc();
-      drain_cv_.notify_all();
+    if (dropped_resumable) {
+      // Parked only once its streams are closed: a resume HELLO that finds
+      // the entry can always reopen them.
+      std::lock_guard<std::mutex> lock(mu_);
+      if (!stopping_.load(std::memory_order_relaxed)) {
+        parked_.emplace(session.base_client, std::move(p));
+      }
+    } else {
+      CountCompleted(session);
     }
   }
   if (had_open && m_disconnects_ != nullptr) m_disconnects_->Inc();
@@ -652,6 +645,17 @@ void VerifierServer::FinishSession(Session& session) {
             session.traces_received.load(std::memory_order_relaxed)),
         had_open ? ", streams force-closed" : "");
   }
+}
+
+void VerifierServer::CountCompleted(Session& session) {
+  if (session.counted_complete.exchange(true)) return;
+  // Under mu_: WaitReport tests the count under mu_ before it blocks, so an
+  // unlocked increment could land between that test and the wait and its
+  // notify would be lost.
+  std::lock_guard<std::mutex> lock(mu_);
+  sessions_completed_.fetch_add(1, std::memory_order_relaxed);
+  if (m_sessions_done_ != nullptr) m_sessions_done_->Inc();
+  drain_cv_.notify_all();
 }
 
 void VerifierServer::OnBug(const BugDescriptor& bug) {
@@ -1089,29 +1093,32 @@ void VerifierServer::CheckpointLoop() {
   obs::Watchdog::Slot* wd =
       opts_.watchdog != nullptr ? opts_.watchdog->Register("durable.checkpointer")
                                 : nullptr;
+  auto owed = [this] {
+    return opts_.checkpoint_every_traces > 0 &&
+           traces_received_.load(std::memory_order_relaxed) -
+                   traces_at_last_ckpt_.load(std::memory_order_relaxed) >=
+               opts_.checkpoint_every_traces;
+  };
   std::unique_lock<std::mutex> lock(ckpt_thread_mu_);
-  while (!ckpt_stop_) {
+  while (true) {
     if (wd != nullptr) wd->Suspend();
     ckpt_thread_cv_.wait_for(
         lock, std::chrono::milliseconds(opts_.checkpoint_interval_ms),
-        [this] {
-          return ckpt_stop_ ||
-                 (opts_.checkpoint_every_traces > 0 &&
-                  traces_received_.load(std::memory_order_relaxed) -
-                          traces_at_last_ckpt_.load(
-                              std::memory_order_relaxed) >=
-                      opts_.checkpoint_every_traces);
-        });
+        [&] { return ckpt_stop_ || owed(); });
     if (wd != nullptr) wd->Resume();
-    if (ckpt_stop_) break;
+    // A trace-count checkpoint already owed when the drain stops us is
+    // still taken (once): every crossing of checkpoint_every_traces gets
+    // its checkpoint, however soon the drain follows it.
+    const bool stop = ckpt_stop_;
+    if (stop && !owed()) break;
     lock.unlock();
-    if (wd != nullptr) wd->Beat();
     Status s = DoCheckpoint();
     // FailedPrecondition means the verifier is already draining — the final
     // report supersedes any further checkpoint; everything else is logged
     // inside DoCheckpoint and retried next tick.
     (void)s;
     lock.lock();
+    if (stop) break;
   }
   if (opts_.watchdog != nullptr) opts_.watchdog->Retire(wd);
 }
@@ -1128,10 +1135,13 @@ void VerifierServer::StopCheckpointWorker() {
 
 void VerifierServer::Shutdown() {
   {
+    // Wake() under mu_: WaitReport closes the listener under mu_ too, so a
+    // late Shutdown never shuts down a descriptor number already reused.
     std::lock_guard<std::mutex> lock(mu_);
     stopping_.store(true, std::memory_order_relaxed);
+    listener_.Wake();
   }
-  accepting_.store(false, std::memory_order_release);
+  if (online_ != nullptr) online_->NotifyProgressWaiters();
   drain_cv_.notify_all();
 }
 
@@ -1191,14 +1201,19 @@ const VerifyReport& VerifierServer::WaitReport() {
     }
     draining_ = true;
     stopping_.store(true, std::memory_order_relaxed);
+    listener_.Wake();
   }
+  // Backpressured readers re-check stopping_ at once.
+  online_->NotifyProgressWaiters();
   // Stop accepting and collect the session set (stable: entries are never
-  // erased, and no new ones can appear once accepting_ is false). Join
-  // before closing the fd — the accept poll rechecks accepting_ within
-  // kPollMs, and Close while Accept reads the fd would race.
-  accepting_.store(false, std::memory_order_release);
+  // erased, and none can appear once the acceptor is joined). Wake() made
+  // its blocked accept(2) return; the fd is closed only after the join, so
+  // Close never races an Accept on the same descriptor.
   if (accept_thread_.joinable()) accept_thread_.join();
-  listener_.Close();
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    listener_.Close();
+  }
   // Stop checkpointing before the final drain: from here on the verifier
   // heads for its report, which supersedes any checkpoint.
   StopCheckpointWorker();

@@ -37,6 +37,10 @@ namespace net {
 /// are involved.
 ///
 /// Threading: one accept thread plus one reader thread per connection.
+/// Each blocks on its own event — accept(2), recv(2) bounded only by the
+/// idle timeout, verifier progress under backpressure — and a drain wakes
+/// them directly (Listener::Wake, Socket::ShutdownBoth,
+/// OnlineVerifier::NotifyProgressWaiters) instead of waiting out a tick.
 /// Sessions register their streams dynamically (OnlineVerifier::AddClient);
 /// a "gate" stream held open by the server keeps the pipeline watermark at
 /// zero until all `expected_sessions` have completed their handshake, so
@@ -64,7 +68,8 @@ class VerifierServer {
     /// Hard cap on concurrently-registered client streams across all
     /// sessions (a handshake requesting more is rejected).
     uint32_t max_streams = 256;
-    /// Close a session that sends nothing for this long.
+    /// Close a session that still owes stream data and sends nothing for
+    /// this long (0 = never). It is the reader's receive timeout.
     uint64_t idle_timeout_ms = 30000;
     /// Backpressure threshold on decoded-but-unverified trace bytes.
     size_t max_inflight_bytes = 64u << 20;
@@ -237,13 +242,16 @@ class VerifierServer {
   /// Closes every still-open stream of the session and, if it completed
   /// the handshake, counts the session as finished.
   void FinishSession(Session& session);
+  /// Counts the session as finished (once) and wakes WaitReport.
+  void CountCompleted(Session& session);
   void SendToSession(Session& session, const std::string& frame);
   /// Routes one bug to the sessions owning its transactions (dispatcher
   /// thread, via OnlineVerifier's on_bug).
   void OnBug(const BugDescriptor& bug);
-  /// Blocks while the in-flight byte budget is exhausted; see class
-  /// comment for the starvation escape. Beats the session's watchdog slot
-  /// while stalled (a stalled reader is flow control, not a wedge).
+  /// Blocks while the in-flight byte budget is exhausted, waking on
+  /// verifier progress; see class comment for the starvation escape.
+  /// Suspends the session's watchdog slot while stalled (a stalled reader
+  /// is flow control, not a wedge).
   void Backpressure(Session& session, size_t incoming_bytes);
   /// Background diagnosis worker: pops queued violations and delta-debugs
   /// the recorded history (Options::diagnose).
@@ -267,7 +275,7 @@ class VerifierServer {
   Options opts_;
   obs::MetricsRegistry* metrics_;  // not owned; may be nullptr
 
-  Listener listener_;
+  Listener listener_;  // Wake()/Close() under mu_ once threads run
   uint16_t port_ = 0;
   std::unique_ptr<OnlineVerifier> online_;
   ClientId gate_client_ = 0;
@@ -304,7 +312,6 @@ class VerifierServer {
   /// until drained_ — the teardown joins threads and must run exactly once.
   bool draining_ = false;
   std::atomic<bool> stopping_{false};  // set by Shutdown(), any thread
-  std::atomic<bool> accepting_{false};
   std::atomic<uint64_t> traces_received_{0};
   std::atomic<uint64_t> pushed_bytes_{0};
   std::atomic<uint32_t> sessions_completed_{0};

@@ -206,10 +206,8 @@ StatusOr<Listener> Listener::Listen(uint16_t port, int backlog) {
   return l;
 }
 
-StatusOr<Socket> Listener::Accept(uint64_t accept_timeout_ms) {
+StatusOr<Socket> Listener::Accept() {
   if (fd_ < 0) return Status::FailedPrecondition("accept on closed listener");
-  Status s = SetTimeout(fd_, SO_RCVTIMEO, accept_timeout_ms);
-  if (!s.ok()) return s;
   while (true) {
     int fd = ::accept(fd_, nullptr, nullptr);
     if (fd >= 0) {
@@ -217,12 +215,14 @@ StatusOr<Socket> Listener::Accept(uint64_t accept_timeout_ms) {
       setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
       return Socket(fd);
     }
-    if (errno == EINTR) continue;
-    if (errno == EAGAIN || errno == EWOULDBLOCK) {
-      return Status::Busy("accept timeout");
-    }
-    return Errno("accept");
+    // ECONNABORTED: the peer gave up while queued; wait for the next one.
+    if (errno == EINTR || errno == ECONNABORTED) continue;
+    return Errno("accept");  // EINVAL once Wake() shut the socket down
   }
+}
+
+void Listener::Wake() {
+  if (fd_ >= 0) ::shutdown(fd_, SHUT_RDWR);
 }
 
 void Listener::Close() {

@@ -56,8 +56,9 @@ bool ParseHostPort(const std::string& spec, std::string& host, uint16_t& port);
 /// Connects to host:port (numeric IP or name). Blocking.
 StatusOr<Socket> TcpConnect(const std::string& host, uint16_t port);
 
-/// A listening TCP socket. Accept() blocks at most `accept_timeout_ms`, so
-/// an accept loop can poll a stop flag without extra machinery.
+/// A listening TCP socket. Accept() blocks until a connection arrives; to
+/// stop an accept loop, another thread calls Wake() and joins the accepting
+/// thread before Close().
 class Listener {
  public:
   Listener() = default;
@@ -72,8 +73,16 @@ class Listener {
   uint16_t port() const { return port_; }
   bool valid() const { return fd_ >= 0; }
 
-  /// Accepts one connection; kBusy on timeout (no pending connection).
-  StatusOr<Socket> Accept(uint64_t accept_timeout_ms);
+  /// Accepts one connection, blocking with no timeout. Fails once Wake()
+  /// has been called (or on a fatal listener error).
+  StatusOr<Socket> Accept();
+
+  /// shutdown(2) on the listening socket: a thread blocked in Accept()
+  /// returns at once and every later Accept() fails. The descriptor stays
+  /// open (its number cannot be reused) until Close(), which must wait
+  /// until no thread is left in Accept(). Callable from any thread;
+  /// idempotent; a no-op after Close().
+  void Wake();
 
   void Close();
 

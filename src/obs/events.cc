@@ -57,14 +57,34 @@ void EventJournal::Record(EventSeverity severity, const char* component,
   // recorded while we fill this slot) can interleave; the version check on
   // the reader side discards the torn result either way, so the journal
   // stays consistent even under that pathological contention.
-  uint64_t v = slot.version.load(std::memory_order_relaxed);
-  slot.version.store(v | 1, std::memory_order_release);
-  slot.seq = seq;
-  slot.ts_ns = NowNs();
-  slot.severity = severity;
-  CopyTruncated(slot.component, sizeof(slot.component), component);
-  CopyTruncated(slot.message, sizeof(slot.message), message);
+  //
+  // The odd mark is an acquire read-modify-write: the payload stores below
+  // cannot move above it, and it synchronizes with a reader's release
+  // re-read of the version (Snapshot), so a reader that saw any of this
+  // write's payload also sees the version move.
+  uint64_t v = slot.version.fetch_or(1, std::memory_order_acquire);
+  Event e;
+  e.seq = seq;
+  e.ts_ns = NowNs();
+  e.severity = severity;
+  CopyTruncated(e.component, sizeof(e.component), component);
+  CopyTruncated(e.message, sizeof(e.message), message);
+  uint64_t words[kEventWords];
+  std::memcpy(words, &e, sizeof(e));
+  for (size_t i = 0; i < kEventWords; ++i) {
+    slot.words[i].store(words[i], std::memory_order_relaxed);
+  }
   slot.version.store((v | 1) + 1, std::memory_order_release);
+}
+
+Event EventJournal::LoadEvent(const Slot& slot) {
+  uint64_t words[kEventWords];
+  for (size_t i = 0; i < kEventWords; ++i) {
+    words[i] = slot.words[i].load(std::memory_order_relaxed);
+  }
+  Event e;
+  std::memcpy(&e, words, sizeof(e));
+  return e;
 }
 
 void EventJournal::Recordf(EventSeverity severity, const char* component,
@@ -87,14 +107,13 @@ std::vector<Event> EventJournal::Snapshot(size_t max_n) const {
     const Slot& slot = slots_[seq & mask_];
     uint64_t v1 = slot.version.load(std::memory_order_acquire);
     if (v1 & 1) continue;  // write in progress
-    Event e;
-    e.seq = slot.seq;
-    e.ts_ns = slot.ts_ns;
-    e.severity = slot.severity;
-    std::memcpy(e.component, slot.component, sizeof(e.component));
-    std::memcpy(e.message, slot.message, sizeof(e.message));
-    std::atomic_thread_fence(std::memory_order_acquire);
-    uint64_t v2 = slot.version.load(std::memory_order_relaxed);
+    Event e = LoadEvent(slot);
+    // Re-read the version with a release RMW that adds nothing (Boehm,
+    // "Can seqlocks get along with programming language memory models?",
+    // MSPC 2012): release keeps the payload loads above it, and as an RMW
+    // it reads the latest version, so it cannot miss a writer whose
+    // payload we copied. No standalone fence, which TSan cannot model.
+    uint64_t v2 = slot.version.fetch_add(0, std::memory_order_release);
     if (v1 != v2) continue;  // torn: overwritten during the copy
     if (e.seq != seq) continue;  // slot already holds a newer generation
     e.component[sizeof(e.component) - 1] = '\0';
@@ -162,29 +181,32 @@ void FatalDumpLocked(int fd, const EventJournal* j, bool json) {
   for (uint64_t seq = begin; seq < end; ++seq) {
     const EventJournal::Slot& slot = j->slots_[seq & j->mask_];
     if (slot.version.load(std::memory_order_acquire) & 1) continue;
-    if (slot.seq != seq) continue;
+    Event e = EventJournal::LoadEvent(slot);
+    if (e.seq != seq) continue;
+    e.component[sizeof(e.component) - 1] = '\0';
+    e.message[sizeof(e.message) - 1] = '\0';
     if (json) {
       if (!first) WriteStr(fd, ",");
       WriteStr(fd, "{\"seq\":");
-      WriteU64(fd, slot.seq);
+      WriteU64(fd, e.seq);
       WriteStr(fd, ",\"ts_ns\":");
-      WriteU64(fd, slot.ts_ns);
+      WriteU64(fd, e.ts_ns);
       WriteStr(fd, ",\"severity\":\"");
-      WriteStr(fd, EventSeverityName(slot.severity));
+      WriteStr(fd, EventSeverityName(e.severity));
       WriteStr(fd, "\",\"component\":\"");
-      WriteStr(fd, slot.component);  // components/messages are internal
+      WriteStr(fd, e.component);  // components/messages are internal
       WriteStr(fd, "\",\"message\":\"");
-      WriteStr(fd, slot.message);  // strings; no quotes to escape
+      WriteStr(fd, e.message);  // strings; no quotes to escape
       WriteStr(fd, "\"}");
     } else {
       WriteStr(fd, "[event ");
-      WriteU64(fd, slot.seq);
+      WriteU64(fd, e.seq);
       WriteStr(fd, "] ");
-      WriteStr(fd, EventSeverityName(slot.severity));
+      WriteStr(fd, EventSeverityName(e.severity));
       WriteStr(fd, " ");
-      WriteStr(fd, slot.component);
+      WriteStr(fd, e.component);
       WriteStr(fd, ": ");
-      WriteStr(fd, slot.message);
+      WriteStr(fd, e.message);
       WriteStr(fd, "\n");
     }
     first = false;

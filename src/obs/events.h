@@ -16,7 +16,9 @@
 // (in-progress), fills the payload, then publishes an even version. Readers
 // (the HTTP endpoint, the fatal-signal dump) copy the slot and retry/skip if
 // the version changed underneath them — a torn slot is dropped, never
-// half-reported.
+// half-reported. The payload is read and written through relaxed atomics
+// and ordered without standalone fences (see Snapshot), so the ring is
+// free of data races as the C++ memory model and ThreadSanitizer see it.
 
 #include <atomic>
 #include <cstdint>
@@ -79,15 +81,20 @@ class EventJournal {
                                const std::string& path);
 
  private:
+  // A slot's payload is an Event held in words, so that readers racing a
+  // writer copy it with relaxed atomic loads rather than a data race.
+  static constexpr size_t kEventWords = sizeof(Event) / 8;
+  static_assert(kEventWords * 8 == sizeof(Event));
+
   struct Slot {
     // Even = published `(version/2)`-th write; odd = write in progress.
-    std::atomic<uint64_t> version{0};
-    uint64_t seq = 0;
-    uint64_t ts_ns = 0;
-    EventSeverity severity = EventSeverity::kInfo;
-    char component[24] = {0};
-    char message[104] = {0};
+    // Mutable: readers re-read it with a read-modify-write.
+    mutable std::atomic<uint64_t> version{0};
+    std::atomic<uint64_t> words[kEventWords] = {};
   };
+
+  /// Copies a slot's payload out with relaxed loads. Async-signal-safe.
+  static Event LoadEvent(const Slot& slot);
 
   friend void FatalDumpLocked(int fd, const EventJournal* j, bool json);
 

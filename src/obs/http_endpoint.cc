@@ -65,14 +65,16 @@ Status HttpEndpoint::Start() {
 
 void HttpEndpoint::Stop() {
   stop_.store(true, std::memory_order_relaxed);
+  listener_.Wake();
   if (acceptor_.joinable()) acceptor_.join();
   listener_.Close();
 }
 
 void HttpEndpoint::AcceptLoop() {
-  while (!stop_.load(std::memory_order_relaxed)) {
-    auto accepted = listener_.Accept(opts_.accept_timeout_ms);
-    if (!accepted.ok()) continue;  // timeout or transient error: poll stop_
+  while (true) {
+    auto accepted = listener_.Accept();  // blocks until a scrape or Stop()
+    if (stop_.load(std::memory_order_relaxed)) break;
+    if (!accepted.ok()) continue;  // transient accept error
     ServeConnection(std::move(accepted).value());
   }
 }

@@ -47,7 +47,6 @@ class HttpEndpoint {
     /// acceptor thread; must be thread-safe and fast.
     std::function<std::string()> statusz_fields;
     std::string build_info;  // e.g. "leopard_serve dev"
-    uint64_t accept_timeout_ms = 200;
     uint64_t max_request_bytes = 8192;
   };
 
@@ -61,7 +60,9 @@ class HttpEndpoint {
   Status Start();
   /// The bound port (valid after Start()).
   uint16_t port() const { return port_; }
-  /// Stops the acceptor and closes the listener. Idempotent.
+  /// Wakes the acceptor out of accept(2), joins it and closes the
+  /// listener. Returns at once unless a request is mid-flight (bounded by
+  /// the 2 s per-request socket timeouts). Idempotent.
   void Stop();
 
   uint64_t requests_served() const {

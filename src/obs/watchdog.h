@@ -16,6 +16,7 @@
 // Suspend()/Resume() so idleness is not misreported as a stall.
 
 #include <atomic>
+#include <condition_variable>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -82,7 +83,8 @@ class Watchdog {
   /// Runs one monitor sweep synchronously (deterministic tests).
   void CheckNow();
 
-  /// Stops the monitor thread. Idempotent; also run by the destructor.
+  /// Stops the monitor thread, waking it mid-interval. Idempotent; also run
+  /// by the destructor.
   void Stop();
 
  private:
@@ -95,7 +97,9 @@ class Watchdog {
   std::atomic<size_t> stalled_{0};
   Gauge* m_stalled_ = nullptr;
 
-  std::atomic<bool> stop_{false};
+  std::mutex stop_mu_;
+  std::condition_variable stop_cv_;
+  bool stop_ = false;  // guarded by stop_mu_
   std::thread monitor_;
 };
 

@@ -526,6 +526,23 @@ TEST(HttpEndpointTest, ServesOverLoopbackSocket) {
   ep.Stop();
 }
 
+// Stop() wakes the acceptor out of accept(2) at once rather than on a
+// timer tick.
+TEST(HttpEndpointTest, StopReturnsPromptly) {
+  MetricsRegistry registry;
+  HttpEndpoint::Options ho;
+  ho.registry = &registry;
+  HttpEndpoint ep(ho);
+  ASSERT_TRUE(ep.Start().ok());
+  // One served request first: the acceptor is back in accept(2) when we
+  // stop it.
+  EXPECT_NE(HttpGet(ep.port(), "/healthz").find("200 OK"), std::string::npos);
+  const uint64_t start = NowNs();
+  ep.Stop();
+  const double stop_ms = static_cast<double>(NowNs() - start) / 1e6;
+  EXPECT_LT(stop_ms, 50.0);
+}
+
 // ---------------------------------------------------------------------------
 // Wire-version matrix: only a v3 session carries the batch ingest
 // timestamp, so stage.ingest_to_read_ns must populate for v3 and stay

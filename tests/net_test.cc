@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <memory>
@@ -799,6 +800,70 @@ TEST(NetLoopbackTest, ResumableSessionSurvivesDisconnect) {
   EXPECT_EQ(report.stats.TotalViolations(), 0u);
   // Both connection legs landed in the same verification run.
   EXPECT_EQ(server.traces_received(), total);
+}
+
+double MsSince(std::chrono::steady_clock::time_point start) {
+  return std::chrono::duration<double, std::milli>(
+             std::chrono::steady_clock::now() - start)
+      .count();
+}
+
+// Wake latency of a served job: the drain starts the moment the last
+// stream closes, not on a timer tick. Five back-to-back one-session
+// servers; the median time from the last CLOSE_STREAM to the BYE stays
+// under 50 ms.
+TEST(NetLoopbackTest, ByeFollowsLastCloseWithoutPollTick) {
+  std::vector<double> close_to_bye_ms;
+  for (uint64_t job = 0; job < 5; ++job) {
+    VerifierServer::Options so;
+    so.expected_sessions = 1;
+    VerifierServer server(PgSer(), so);
+    ASSERT_TRUE(server.Start().ok());
+    std::thread drain([&server] { server.WaitReport(); });
+
+    History h = BuildSerialHistory(50 + job, 40);
+    auto client = VerifierClient::Connect(
+        "127.0.0.1:" + std::to_string(server.port()), VerifierClient::Options{});
+    EXPECT_TRUE(client.ok()) << client.status();
+    if (!client.ok()) {
+      server.Shutdown();
+      drain.join();
+      return;
+    }
+    for (Trace& t : h.traces) EXPECT_TRUE((*client)->Push(0, t).ok());
+    const auto closed_at = std::chrono::steady_clock::now();
+    EXPECT_TRUE((*client)->CloseStream(0).ok());
+    auto bye = (*client)->Finish();
+    close_to_bye_ms.push_back(MsSince(closed_at));
+    EXPECT_TRUE(bye.ok()) << bye.status();
+    drain.join();
+    EXPECT_EQ(server.WaitReport().stats.TotalViolations(), 0u);
+  }
+  std::vector<double> sorted = close_to_bye_ms;
+  std::sort(sorted.begin(), sorted.end());
+  std::string all;
+  for (double ms : close_to_bye_ms) all += std::to_string(ms) + " ";
+  EXPECT_LT(sorted[sorted.size() / 2], 50.0) << "close->BYE ms: " << all;
+}
+
+// Shutdown of a service with a handshaken session that never closes its
+// stream: the acceptor is woken out of accept(2) and the idle reader out of
+// recv(2), so the drain does not wait for either to time out.
+TEST(NetLoopbackTest, ShutdownWithIdleOpenSessionReturnsPromptly) {
+  VerifierServer::Options so;  // expected_sessions = 0: run until Shutdown
+  VerifierServer server(PgSer(), so);
+  ASSERT_TRUE(server.Start().ok());
+  auto client = VerifierClient::Connect(
+      "127.0.0.1:" + std::to_string(server.port()), VerifierClient::Options{});
+  ASSERT_TRUE(client.ok()) << client.status();
+
+  const auto start = std::chrono::steady_clock::now();
+  server.Shutdown();
+  const VerifyReport& report = server.WaitReport();
+  const double drain_ms = MsSince(start);
+  EXPECT_LT(drain_ms, 50.0);
+  EXPECT_EQ(report.stats.TotalViolations(), 0u);
+  EXPECT_EQ(server.sessions_completed(), 1u);  // force-closed, not lost
 }
 
 }  // namespace

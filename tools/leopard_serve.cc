@@ -41,8 +41,9 @@
 //
 // Exit status: 0 = no violations, 1 = violations found, 2 = bad usage.
 
+#include <pthread.h>
+
 #include <atomic>
-#include <chrono>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
@@ -202,19 +203,19 @@ bool ResolveConfig(const ServeOptions& opts, VerifierConfig& config) {
   return true;
 }
 
-// Lock-free atomic: async-signal-safe in the handler AND race-free
-// against the watchdog thread (volatile sig_atomic_t covers only the
-// former).
-std::atomic<int> g_stop{0};
-static_assert(std::atomic<int>::is_always_lock_free);
-
-void OnSignal(int) { g_stop.store(1, std::memory_order_relaxed); }
-
 }  // namespace
 }  // namespace leopard
 
 int main(int argc, char** argv) {
   using namespace leopard;
+  // SIGINT/SIGTERM are blocked before any thread starts, so every thread
+  // inherits the mask and the signals stay pending until the stopper
+  // thread's sigwait takes them (even one sent before it is running).
+  sigset_t stop_signals;
+  sigemptyset(&stop_signals);
+  sigaddset(&stop_signals, SIGINT);
+  sigaddset(&stop_signals, SIGTERM);
+  pthread_sigmask(SIG_BLOCK, &stop_signals, nullptr);
   ServeOptions opts;
   if (!ParseArgs(argc, argv, opts)) {
     Usage();
@@ -392,23 +393,22 @@ int main(int argc, char** argv) {
     std::fclose(f);
   }
 
-  // Signal handlers only set a flag; a stopper thread turns it into a
-  // graceful drain (Shutdown is safe from any thread, handlers are not a
-  // place to take locks).
-  std::signal(SIGINT, OnSignal);
-  std::signal(SIGTERM, OnSignal);
-  std::thread stopper([&server, &journal] {
-    while (g_stop.load(std::memory_order_relaxed) == 0) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(100));
-    }
+  // The stopper thread turns SIGINT/SIGTERM into a graceful drain
+  // (Shutdown is safe from any thread). A natural drain wakes it with a
+  // thread-directed SIGTERM.
+  std::atomic<bool> drained{false};
+  std::thread stopper([&server, &journal, &stop_signals, &drained] {
+    int signo = 0;
+    sigwait(&stop_signals, &signo);
+    if (drained.load()) return;
     journal.Record(obs::EventSeverity::kInfo, "serve",
                    "shutdown requested; draining");
     server.Shutdown();
   });
 
   const VerifyReport& report = server.WaitReport();
-  g_stop.store(1, std::memory_order_relaxed);  // stop the stopper even on
-                                               // a natural drain
+  drained.store(true);
+  pthread_kill(stopper.native_handle(), SIGTERM);
   stopper.join();
   // The endpoint reads the registry/journal/watchdog; stop it (and the
   // watchdog monitor) before any of them can go out of scope.
