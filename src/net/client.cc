@@ -29,21 +29,9 @@ StatusOr<std::unique_ptr<VerifierClient>> VerifierClient::Connect(
   if (options.stream_ils.size() > options.n_streams) {
     return Status::InvalidArgument("stream_ils longer than n_streams");
   }
-  if (!options.stream_ils.empty() && options.wire_version < 4) {
-    return Status::InvalidArgument(
-        "per-stream isolation levels need wire version >= 4");
-  }
-  if ((options.resumable || options.resume) && options.wire_version < 5) {
-    return Status::InvalidArgument("session resume needs wire version >= 5");
-  }
   HelloMsg hello;
-  hello.version = options.wire_version;
   hello.n_streams = options.n_streams;
-  // Declaring per-stream isolation levels makes the HELLO carry the v4
-  // tail, which only a v4 server accepts (wire.h); an older server drops
-  // the session with kError and Connect surfaces that status.
   hello.stream_ils = options.stream_ils;
-  // Resume flags add the v5 tail, which likewise requires a v5 server.
   hello.resumable = options.resumable;
   hello.has_resume = options.resume;
   hello.resume_base = options.resume ? options.resume_base : 0;
@@ -53,16 +41,9 @@ StatusOr<std::unique_ptr<VerifierClient>> VerifierClient::Connect(
   Frame ack;
   s = client->WaitFor(FrameType::kHelloAck, ack);
   if (!s.ok()) return s;
+  // DecodeHelloAck refuses an ack of any other wire version.
   auto msg = DecodeHelloAck(ack.payload);
   if (!msg.ok()) return msg.status();
-  // The server acks the negotiated version: ours, or lower when it is an
-  // older build (its violation payloads are then v1, which DecodeViolation
-  // accepts transparently).
-  if (msg->version < kMinWireVersion || msg->version > options.wire_version) {
-    return Status::InvalidArgument("server speaks wire version " +
-                                   std::to_string(msg->version));
-  }
-  client->version_ = msg->version;
   client->base_client_ = msg->base_client;
   // A successful resume keeps the requested base id and reports per-stream
   // floors; a fallback allocation gets a fresh (different) base.
@@ -116,17 +97,10 @@ Status VerifierClient::SendBatch(uint32_t stream) {
   if (dead_) {
     return Status::FailedPrecondition("session dead: " + server_error_);
   }
-  // v3 sessions stamp the batch with the push-time steady clock so the
-  // server can attribute wire + queueing latency to the ingest stage.
-  const uint64_t ingest_ns = version_ >= 3 ? obs::NowNs() : 0;
-  if (version_ < 4) {
-    // Pre-v4 decoders reject the isolation flag bit on the op byte, so a
-    // down-negotiated session ships every record untagged (SERIALIZABLE) —
-    // the strongest level, which never suppresses a violation.
-    for (Trace& t : pending_[stream]) t.il = IsolationLevel::kSerializable;
-  }
+  // Stamp the batch with the push-time steady clock so the server can
+  // attribute wire + queueing latency to the ingest stage.
   std::string frame = EncodeFrame(
-      FrameType::kBatch, EncodeBatch(stream, pending_[stream], ingest_ns));
+      FrameType::kBatch, EncodeBatch(stream, pending_[stream], obs::NowNs()));
   const size_t n = pending_[stream].size();
   pending_[stream].clear();
   Status s = sock_.SendAll(frame.data(), frame.size());

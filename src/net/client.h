@@ -48,25 +48,16 @@ class VerifierClient {
     uint64_t recv_timeout_ms = 30000;
     /// Optional instrumentation: net.client.* counters.
     obs::MetricsRegistry* metrics = nullptr;
-    /// Version declared in the HELLO — lets tests and cautious deployments
-    /// pin an older protocol; the server negotiates down to min(ours,
-    /// theirs). Batches carry the v3 ingest timestamp only when the
-    /// negotiated version is >= 3.
-    uint32_t wire_version = kWireVersion;
-    /// v4 mixed-isolation extension: declared isolation level per stream,
-    /// indexed by stream id (must not be longer than n_streams; missing
-    /// tail entries default to SERIALIZABLE). Non-empty makes the HELLO
-    /// carry the isolation tail, which a pre-v4 server rejects — declaring
-    /// per-stream levels therefore *requires* a v4 server (Connect fails
-    /// cleanly otherwise). Leave empty for version-agnostic sessions.
+    /// Declared isolation level per stream, indexed by stream id (must not
+    /// be longer than n_streams; missing entries default to SERIALIZABLE).
     std::vector<IsolationLevel> stream_ils;
-    /// v5 session-resume extension. `resumable` asks the server to park
-    /// this session's per-stream floors if the connection drops before all
-    /// streams closed cleanly, so a later connection can resume them.
-    /// `resume` + `resume_base` re-attach to such a parked session: on
-    /// success the server assigns the same base client id (check
-    /// resumed()); when nothing is parked under resume_base it falls back
-    /// to a fresh allocation. Either flag requires a v5 server.
+    /// Session resume. `resumable` asks the server to park this session's
+    /// per-stream floors if the connection drops before all streams closed
+    /// cleanly, so a later connection can resume them. `resume` +
+    /// `resume_base` re-attach to such a parked session: on success the
+    /// server assigns the same base client id (check resumed()); when
+    /// nothing is parked under resume_base it falls back to a fresh
+    /// allocation.
     bool resumable = false;
     bool resume = false;
     uint32_t resume_base = 0;
@@ -120,10 +111,6 @@ class VerifierClient {
   /// First verifier client id of this session (stream s = base + s).
   uint32_t base_client() const { return base_client_; }
 
-  /// Wire version negotiated with the server (see wire.h). Violations from
-  /// a v2 session carry the structured witness (ops + edges).
-  uint32_t wire_version() const { return version_; }
-
   /// The server's kError message, when the session died on one.
   const std::string& server_error() const { return server_error_; }
 
@@ -142,7 +129,6 @@ class VerifierClient {
   Options opts_;
   FrameDecoder decoder_;
   uint32_t base_client_ = 0;
-  uint32_t version_ = kWireVersion;  // negotiated in Connect()
   std::vector<std::vector<Trace>> pending_;    // per stream
   std::vector<uint8_t> stream_closed_;
   std::vector<BugDescriptor> violations_;

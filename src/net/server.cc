@@ -17,6 +17,11 @@ namespace net {
 namespace {
 constexpr uint64_t kSendTimeoutMs = 5000;
 constexpr size_t kRecvChunk = 64 * 1024;
+/// Verifier re-runs the minimizer may spend per diagnosis.
+constexpr uint64_t kMaxDiagnoseOracleRuns = 512;
+/// Distinct (bug type, key) diagnoses to run before ignoring further
+/// violations (bounds worker time on pathological histories).
+constexpr uint32_t kMaxDiagnoses = 4;
 }  // namespace
 
 VerifierServer::VerifierServer(const VerifierConfig& config,
@@ -149,7 +154,7 @@ void VerifierServer::ReaderLoop(Session& session) {
   // WaitReport), or after idle_timeout_ms of silence.
   session.sock.SetRecvTimeoutMs(opts_.idle_timeout_ms);
   session.sock.SetSendTimeoutMs(kSendTimeoutMs);
-  FrameDecoder decoder(opts_.max_frame_bytes);
+  FrameDecoder decoder;  // payloads capped at kMaxFramePayload
   char buf[kRecvChunk];
   bool alive = true;
   while (alive) {
@@ -231,32 +236,22 @@ bool VerifierServer::HandleFrame(Session& session, Frame frame) {
 }
 
 bool VerifierServer::HandleHello(Session& session, const Frame& frame) {
+  // DecodeHello refuses a HELLO of any other wire version.
   auto hello = DecodeHello(frame.payload);
   if (!hello.ok()) {
     if (m_decode_errors_ != nullptr) m_decode_errors_->Inc();
-    FailSession(session, "bad HELLO");
+    FailSession(session, "bad HELLO: " + hello.status().message());
     return false;
   }
   if (session.n_streams != 0) {
     FailSession(session, "duplicate HELLO");
     return false;
   }
-  if (hello->version < kMinWireVersion) {
-    FailSession(session, "wire version mismatch: client " +
-                             std::to_string(hello->version) + ", server " +
-                             std::to_string(kWireVersion) + " (min " +
-                             std::to_string(kMinWireVersion) + ")");
-    return false;
-  }
-  // Negotiate down: a newer client is served at our version, an older one
-  // at its own (it then receives v1 violation payloads).
-  session.version = std::min(hello->version, kWireVersion);
   if (hello->n_streams == 0 || hello->n_streams > opts_.max_streams) {
     FailSession(session, "invalid stream count");
     return false;
   }
   HelloAckMsg ack;
-  ack.version = session.version;
   bool resumed = false;
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -266,7 +261,7 @@ bool VerifierServer::HandleHello(Session& session, const Frame& frame) {
     }
     session.resumable = hello->resumable;
     if (hello->has_resume) {
-      // v5 resume: re-attach to the stream state a resumable session parked
+      // Resume: re-attach to the stream state a resumable session parked
       // when its connection dropped. No match (wrong base, stream-count
       // mismatch, state lost to a restart) falls back to a fresh
       // allocation, which the client detects by the differing base id.
@@ -322,8 +317,8 @@ bool VerifierServer::HandleHello(Session& session, const Frame& frame) {
     session.floor.resize(hello->n_streams);
     session.last_ts.assign(hello->n_streams, 0);
     session.stream_closed.assign(hello->n_streams, 0);
-    // v4 mixed-isolation tail: streams past the declared list (or the whole
-    // session, pre-v4) run at SERIALIZABLE — full-strength verification.
+    // Streams past the declared isolation list run at SERIALIZABLE —
+    // full-strength verification.
     session.stream_ils.assign(hello->n_streams,
                               IsolationLevel::kSerializable);
     for (size_t i = 0; i < hello->stream_ils.size(); ++i) {
@@ -368,8 +363,8 @@ bool VerifierServer::HandleHello(Session& session, const Frame& frame) {
                                      EncodeHelloAck(ack)));
   if (opts_.events != nullptr) {
     opts_.events->Recordf(obs::EventSeverity::kInfo, "net.server",
-                          "session %u handshake: %u streams, wire v%u%s",
-                          session.id, session.n_streams, session.version,
+                          "session %u handshake: %u streams%s",
+                          session.id, session.n_streams,
                           resumed ? " (resumed)" : "");
   }
   return true;
@@ -412,9 +407,10 @@ bool VerifierServer::HandleBatch(Session& session, const Frame& frame) {
   }
   const uint64_t read_ns = obs::NowNs();
   if (batch->ingest_ns != 0 && m_stage_ingest_ != nullptr) {
-    // v3 sessions stamp the batch at push time. Both stamps are steady-clock
-    // reads, comparable only when client and server share a machine
-    // (loopback deployments); cross-host skew shows up as negative deltas.
+    // The client stamps each batch at push time (0 = unstamped). Both
+    // stamps are steady-clock reads, comparable only when client and server
+    // share a machine (loopback deployments); cross-host skew shows up as
+    // negative deltas.
     // Those still count as a sample — dropping them would make this
     // histogram's count diverge from the other stage histograms' — they are
     // just clamped to zero and tallied separately.
@@ -429,7 +425,7 @@ bool VerifierServer::HandleBatch(Session& session, const Frame& frame) {
   const IsolationLevel stream_il = session.stream_ils[batch->stream];
   for (Trace& t : batch->traces) {
     t.client = client;
-    // Session-declared isolation (v4 HELLO tail) combines weakest-wins with
+    // Session-declared isolation (from the HELLO) combines weakest-wins with
     // the record's own tag, and is applied before the WAL append so a
     // replayed run re-derives identical per-txn levels.
     if (stream_il < t.il) t.il = stream_il;
@@ -666,7 +662,7 @@ void VerifierServer::OnBug(const BugDescriptor& bug) {
   }
   // Dispatcher thread. Minimization is far too slow for this thread: hand
   // the bug to the background worker (one diagnosis per distinct
-  // (type, key), bounded by max_diagnoses).
+  // (type, key), bounded by kMaxDiagnoses).
   if (opts_.diagnose) {
     std::lock_guard<std::mutex> lock(diag_mu_);
     bool seen = false;
@@ -682,7 +678,7 @@ void VerifierServer::OnBug(const BugDescriptor& bug) {
         break;
       }
     }
-    if (!seen && diagnoses_enqueued_ < opts_.max_diagnoses) {
+    if (!seen && diagnoses_enqueued_ < kMaxDiagnoses) {
       ++diagnoses_enqueued_;
       diag_queue_.push_back(bug);
       diag_cv_.notify_one();
@@ -711,19 +707,13 @@ void VerifierServer::OnBug(const BugDescriptor& bug) {
     if (m_violations_unroutable_ != nullptr) m_violations_unroutable_->Inc();
     return;
   }
-  // Frames are encoded lazily per negotiated wire version: v1 sessions get
-  // the legacy payload, v2 sessions the structured witness.
-  std::string frame_by_version[2];
+  const std::string frame =
+      EncodeFrame(FrameType::kViolation, EncodeViolation(bug));
   const uint64_t now_ns = obs::NowNs();
   for (Session* s : targets) {
     if (s->defunct.load(std::memory_order_relaxed)) {
       if (m_report_send_errors_ != nullptr) m_report_send_errors_->Inc();
       continue;
-    }
-    const uint32_t v = std::min<uint32_t>(std::max<uint32_t>(s->version, 1), 2);
-    std::string& frame = frame_by_version[v - 1];
-    if (frame.empty()) {
-      frame = EncodeFrame(FrameType::kViolation, EncodeViolation(bug, v));
     }
     SendToSession(*s, frame);
     if (s->defunct.load(std::memory_order_relaxed)) {
@@ -773,7 +763,7 @@ void VerifierServer::DiagnoseLoop() {
           static_cast<unsigned long long>(snapshot.size()));
     }
     diagnose::MinimizeOptions mo;
-    mo.max_oracle_runs = opts_.diagnose_max_oracle_runs;
+    mo.max_oracle_runs = kMaxDiagnoseOracleRuns;
     mo.metrics = metrics_;
     // A single minimization legitimately runs minutes on big histories; its
     // oracle re-runs never heartbeat, so tell the watchdog we're busy, not

@@ -76,8 +76,6 @@ class VerifierServer {
     /// Give up on a backpressure stall with no verifier progress after this
     /// long and admit the frame (watermark starvation, see class comment).
     uint64_t stall_override_ms = 500;
-    /// Per-frame payload limit handed to the decoder.
-    size_t max_frame_bytes = kMaxFramePayload;
     /// Optional instrumentation: net.* counters/gauges/histograms (see
     /// docs/OBSERVABILITY.md) plus everything OnlineVerifier exports.
     obs::MetricsRegistry* metrics = nullptr;
@@ -99,11 +97,6 @@ class VerifierServer {
     /// conflict.dot, minimized trace) under `<dir>/diag_<n>`. Empty = keep
     /// the Diagnosis records in memory only.
     std::string diagnose_out_dir;
-    /// Verifier re-runs the minimizer may spend per diagnosis.
-    uint64_t diagnose_max_oracle_runs = 512;
-    /// Distinct (bug type, key) diagnoses to run before ignoring further
-    /// violations (bounds worker time on pathological histories).
-    uint32_t max_diagnoses = 4;
     /// Durable state directory (src/durable). Non-empty enables the
     /// write-ahead trace log + periodic checkpoints: every accepted batch
     /// is logged before it reaches the verifier, and on restart the server
@@ -169,7 +162,7 @@ class VerifierServer {
     uint32_t diagnoses_queued = 0;
     uint32_t diagnoses_done = 0;
     bool draining = false;
-    /// Per-session declared isolation levels (v4 HELLO tail): one entry per
+    /// Per-session declared isolation levels (from the HELLO): one entry per
     /// live handshaken session, session id -> per-stream level list.
     /// Sessions that never declared levels report all-SERIALIZABLE.
     std::vector<std::pair<uint32_t, std::vector<IsolationLevel>>> session_ils;
@@ -206,10 +199,7 @@ class VerifierServer {
     std::mutex write_mu;          // serializes acks/violations/bye/error
     uint32_t n_streams = 0;       // 0 until the handshake succeeded
     uint32_t base_client = 0;     // first OnlineVerifier client id
-    /// Negotiated wire version: min(client, server). Selects the violation
-    /// payload layout this session receives.
-    uint32_t version = kWireVersion;
-    /// Declared isolation level per stream (v4 HELLO tail), one entry per
+    /// Declared isolation level per stream (from the HELLO), one entry per
     /// stream once the handshake succeeded; SERIALIZABLE when undeclared.
     /// Applied weakest-wins against each record's own tag in HandleBatch.
     /// Written once under mu_ during the handshake, read under mu_ after.
@@ -220,7 +210,7 @@ class VerifierServer {
     std::atomic<uint64_t> traces_received{0};
     std::atomic<uint64_t> last_frame_ns{0};
     std::atomic<uint32_t> violations_sent{0};
-    /// v5: the client declared the session resumable — an abrupt disconnect
+    /// The client declared the session resumable — an abrupt disconnect
     /// parks its stream state (see parked_) instead of retiring the ids.
     bool resumable = false;
     /// Session counted towards sessions_completed (exactly once).
@@ -290,8 +280,8 @@ class VerifierServer {
   /// client_session_ entry (counted net.violations_unroutable).
   std::unordered_map<TxnId, ClientId> txn_client_;
   std::unordered_map<ClientId, Session*> client_session_;
-  /// Stream state parked by an abrupt disconnect of a *resumable* session
-  /// (v5), keyed by base client id. A later HELLO with has_resume re-admits
+  /// Stream state parked by an abrupt disconnect of a *resumable* session,
+  /// keyed by base client id. A later HELLO with has_resume re-admits
   /// the same verifier client ids at floors that preserve Theorem 1
   /// (OnlineVerifier::ReopenClient). In-process only: durable recovery
   /// closes all restored clients, so a restart empties this map and resume

@@ -25,7 +25,8 @@ void PutU64(std::string& out, uint64_t v) {
 
 class Reader {
  public:
-  explicit Reader(const std::string& bytes) : bytes_(bytes) {}
+  explicit Reader(const std::string& bytes, size_t pos = 0)
+      : bytes_(bytes), pos_(pos) {}
 
   bool GetU8(uint8_t& v) {
     if (pos_ + 1 > bytes_.size()) return false;
@@ -62,12 +63,19 @@ class Reader {
 
  private:
   const std::string& bytes_;
-  size_t pos_ = 0;
+  size_t pos_;
 };
 
 Status Malformed(const char* what) {
   return Status::InvalidArgument(std::string("malformed ") + what +
                                  " payload");
+}
+
+Status CheckVersion(uint32_t version, const char* frame) {
+  if (version == kWireVersion) return Status::Ok();
+  return Status::InvalidArgument(std::string(frame) + " wire version " +
+                                 std::to_string(version) + ", expected " +
+                                 std::to_string(kWireVersion));
 }
 
 }  // namespace
@@ -148,39 +156,24 @@ std::string EncodeHello(const HelloMsg& m) {
   std::string out;
   PutU32(out, m.version);
   PutU32(out, m.n_streams);
-  const bool v5_tail = m.resumable || m.has_resume;
-  if (!m.stream_ils.empty() || v5_tail) {
-    // v4 mixed-isolation tail. Callers must leave stream_ils empty unless
-    // they require a v4 server: pre-v4 decoders reject any HELLO tail.
-    // The v5 resume tail always rides behind an isolation count (possibly
-    // zero) so the decoder can tell the two tails apart by length.
-    PutU32(out, static_cast<uint32_t>(m.stream_ils.size()));
-    for (IsolationLevel il : m.stream_ils) {
-      PutU8(out, static_cast<uint8_t>(il));
-    }
-  }
-  if (v5_tail) {
-    uint8_t flags = 0;
-    if (m.resumable) flags |= 0x1;
-    if (m.has_resume) flags |= 0x2;
-    PutU8(out, flags);
-    PutU32(out, m.resume_base);
-  }
+  PutU32(out, static_cast<uint32_t>(m.stream_ils.size()));
+  for (IsolationLevel il : m.stream_ils) PutU8(out, static_cast<uint8_t>(il));
+  PutU8(out, static_cast<uint8_t>((m.resumable ? 1 : 0) |
+                                  (m.has_resume ? 2 : 0)));
+  PutU32(out, m.resume_base);
   return out;
 }
 
 StatusOr<HelloMsg> DecodeHello(const std::string& payload) {
   Reader r(payload);
   HelloMsg m;
-  if (!r.GetU32(m.version) || !r.GetU32(m.n_streams)) {
-    return Malformed("HELLO");
-  }
-  if (r.Done()) return m;  // no tail: every stream defaults to SERIALIZABLE
-  // v4 mixed-isolation tail, self-describing by the remaining length.
+  if (!r.GetU32(m.version)) return Malformed("HELLO");
+  Status version = CheckVersion(m.version, "HELLO");
+  if (!version.ok()) return version;
   uint32_t n_ils = 0;
-  if (!r.GetU32(n_ils)) return Malformed("HELLO");
+  if (!r.GetU32(m.n_streams) || !r.GetU32(n_ils)) return Malformed("HELLO");
   if (n_ils > m.n_streams || n_ils > r.remaining()) {
-    return Status::InvalidArgument("HELLO isolation tail exceeds streams");
+    return Status::InvalidArgument("HELLO isolation levels exceed streams");
   }
   m.stream_ils.reserve(n_ils);
   for (uint32_t i = 0; i < n_ils; ++i) {
@@ -191,13 +184,8 @@ StatusOr<HelloMsg> DecodeHello(const std::string& payload) {
     }
     m.stream_ils.push_back(static_cast<IsolationLevel>(il));
   }
-  if (r.Done()) return m;
-  // v5 resume tail: a fixed 5 bytes (u8 flags, u32 resume_base) behind the
-  // isolation tail. Anything else trailing is malformed.
-  if (r.remaining() != 5) return Malformed("HELLO");
   uint8_t flags = 0;
-  uint32_t resume_base = 0;
-  if (!r.GetU8(flags) || !r.GetU32(resume_base) || !r.Done()) {
+  if (!r.GetU8(flags) || !r.GetU32(m.resume_base) || !r.Done()) {
     return Malformed("HELLO");
   }
   if ((flags & ~uint8_t{0x3}) != 0) {
@@ -205,10 +193,6 @@ StatusOr<HelloMsg> DecodeHello(const std::string& payload) {
   }
   m.resumable = (flags & 0x1) != 0;
   m.has_resume = (flags & 0x2) != 0;
-  m.resume_base = resume_base;
-  if (!m.resumable && !m.has_resume) {
-    return Status::InvalidArgument("HELLO empty resume tail");
-  }
   return m;
 }
 
@@ -216,33 +200,24 @@ std::string EncodeHelloAck(const HelloAckMsg& m) {
   std::string out;
   PutU32(out, m.version);
   PutU32(out, m.base_client);
-  if (!m.resume_floors.empty()) {
-    // v5 resume tail; only emitted on a successful resume, which only a v5
-    // client can have requested — older decoders never see it.
-    PutU32(out, static_cast<uint32_t>(m.resume_floors.size()));
-    for (Timestamp floor : m.resume_floors) PutU64(out, floor);
-  }
+  PutU32(out, static_cast<uint32_t>(m.resume_floors.size()));
+  for (Timestamp floor : m.resume_floors) PutU64(out, floor);
   return out;
 }
 
 StatusOr<HelloAckMsg> DecodeHelloAck(const std::string& payload) {
   Reader r(payload);
   HelloAckMsg m;
-  if (!r.GetU32(m.version) || !r.GetU32(m.base_client)) {
-    return Malformed("HELLO_ACK");
-  }
-  if (r.Done()) return m;
+  if (!r.GetU32(m.version)) return Malformed("HELLO_ACK");
+  Status version = CheckVersion(m.version, "HELLO_ACK");
+  if (!version.ok()) return version;
   uint32_t n_floors = 0;
-  if (!r.GetU32(n_floors)) return Malformed("HELLO_ACK");
-  if (static_cast<uint64_t>(n_floors) * 8 != r.remaining()) {
+  if (!r.GetU32(m.base_client) || !r.GetU32(n_floors) ||
+      static_cast<uint64_t>(n_floors) * 8 != r.remaining()) {
     return Malformed("HELLO_ACK");
   }
-  m.resume_floors.reserve(n_floors);
-  for (uint32_t i = 0; i < n_floors; ++i) {
-    uint64_t floor = 0;
-    if (!r.GetU64(floor)) return Malformed("HELLO_ACK");
-    m.resume_floors.push_back(floor);
-  }
+  m.resume_floors.resize(n_floors);
+  for (Timestamp& floor : m.resume_floors) r.GetU64(floor);
   return m;
 }
 
@@ -252,7 +227,7 @@ std::string EncodeBatch(uint32_t stream, const std::vector<Trace>& traces,
   PutU32(out, stream);
   PutU32(out, static_cast<uint32_t>(traces.size()));
   for (const Trace& t : traces) AppendTraceRecord(out, t);
-  if (ingest_ns != 0) PutU64(out, ingest_ns);  // v3 ingest-timestamp tail
+  PutU64(out, ingest_ns);
   return out;
 }
 
@@ -261,9 +236,9 @@ StatusOr<BatchMsg> DecodeBatch(const std::string& payload) {
   BatchMsg m;
   uint32_t count = 0;
   if (!r.GetU32(m.stream) || !r.GetU32(count)) return Malformed("BATCH");
-  // Each record is at least 54 bytes (empty sets); reject counts the
-  // payload can't hold before reserving.
-  if (static_cast<uint64_t>(count) * 54 > r.remaining()) {
+  // Each record is at least 54 bytes (empty sets) and the ingest stamp
+  // follows; reject counts the payload can't hold before reserving.
+  if (static_cast<uint64_t>(count) * 54 + 8 > r.remaining()) {
     return Status::InvalidArgument("BATCH trace count exceeds payload");
   }
   m.traces.reserve(count);
@@ -274,17 +249,9 @@ StatusOr<BatchMsg> DecodeBatch(const std::string& payload) {
     if (!s.ok()) return s;
     m.traces.push_back(std::move(t));
   }
-  if (pos != payload.size()) {
-    // v3 ingest-timestamp tail: exactly 8 trailing bytes, self-describing
-    // by length (v1/v2 batches end at the last trace record).
-    if (payload.size() - pos != 8) {
-      return Status::InvalidArgument("trailing bytes after BATCH traces");
-    }
-    for (int i = 0; i < 8; ++i) {
-      m.ingest_ns |= static_cast<uint64_t>(static_cast<uint8_t>(payload[pos]))
-                     << (8 * i);
-      ++pos;
-    }
+  Reader stamp(payload, pos);
+  if (!stamp.GetU64(m.ingest_ns) || !stamp.Done()) {
+    return Status::InvalidArgument("BATCH must end in the 8-byte ingest stamp");
   }
   return m;
 }
@@ -317,7 +284,7 @@ StatusOr<CloseStreamMsg> DecodeCloseStream(const std::string& payload) {
   return m;
 }
 
-std::string EncodeViolation(const BugDescriptor& bug, uint32_t version) {
+std::string EncodeViolation(const BugDescriptor& bug) {
   std::string out;
   PutU8(out, static_cast<uint8_t>(bug.type));
   PutU64(out, bug.key);
@@ -325,8 +292,7 @@ std::string EncodeViolation(const BugDescriptor& bug, uint32_t version) {
   for (TxnId id : bug.txns) PutU64(out, id);
   PutU32(out, static_cast<uint32_t>(bug.detail.size()));
   out.append(bug.detail);
-  if (version < 2) return out;  // legacy sessions get the v1 payload
-  // v2 structured-witness extension: anchor ts, ops, edges.
+  // Structured witness: anchor ts, ops, edges.
   PutU64(out, bug.ts);
   PutU32(out, static_cast<uint32_t>(bug.ops.size()));
   for (const BugOp& op : bug.ops) {
@@ -374,8 +340,6 @@ StatusOr<ViolationMsg> DecodeViolation(const std::string& payload) {
   if (!r.GetU32(detail_len) || !r.GetString(m.bug.detail, detail_len)) {
     return Malformed("VIOLATION");
   }
-  if (r.Done()) return m;  // v1 payload: no structured witness
-  // v2 structured-witness extension.
   uint32_t n_ops = 0;
   if (!r.GetU64(m.bug.ts) || !r.GetU32(n_ops)) return Malformed("VIOLATION");
   // Each op is at least 45 bytes (empty role).

@@ -13,8 +13,8 @@
 namespace leopard {
 namespace net {
 
-/// Versioned, length-prefixed binary wire protocol for shipping client-side
-/// traces to a remote VerifierServer and streaming violation reports back
+/// Length-prefixed binary wire protocol for shipping client-side traces to
+/// a remote VerifierServer and streaming violation reports back
 /// (DESIGN.md §8).
 ///
 /// Every frame is
@@ -31,38 +31,14 @@ namespace net {
 /// traces; kBye terminates the session after the server drained. kError
 /// (either direction) reports a protocol failure, after which the sender
 /// closes the connection.
-
-/// Current protocol version. v2 extends the kViolation payload with the
-/// structured witness (anchor timestamp, ops with `[ts_bef, ts_aft]`
-/// endpoints, dependency edges); v3 extends the kBatch payload with an
-/// optional trailing 8-byte client ingest timestamp (steady-clock ns at
-/// client push) used for end-to-end stage-latency attribution; v4 adds the
-/// mixed-isolation extension: kHello may carry an optional per-stream
-/// isolation-level tail, and kBatch trace records may use the trace_io
-/// isolation flag bit. The tails are self-describing (presence detected
-/// from the payload length), and the version is negotiated down per
-/// session: a v1 client still gets v1 violation frames from a v4 server,
-/// and a v4 client never sends the ingest tail to a v1/v2 server. The one
-/// asymmetry: a pre-v4 server rejects a kHello carrying the isolation tail
-/// (its decoder requires the payload to end after n_streams), so a client
-/// only emits the tail when the caller actually declared per-stream levels
-/// — such a session *requires* a v4 server and fails cleanly otherwise.
-/// When the ack negotiates the session below v4 the client strips record
-/// isolation tags (re-encodes as SERIALIZABLE), because pre-v4 decoders
-/// reject flagged op bytes. v5 adds the session-resume extension: kHello
-/// may carry a fixed 5-byte tail (u8 flags, u32 resume_base) after the
-/// isolation tail — flag bit 0 declares the session *resumable* (the
-/// server parks its per-stream floors on an abrupt disconnect instead of
-/// retiring the ids), flag bit 1 asks to *resume* the parked session whose
-/// base client id is resume_base. When a resume succeeds, kHelloAck echoes
-/// resume_base as base_client and appends its own self-describing tail
-/// (u32 count, count x u64): the per-stream push floors the resumed
-/// streams must respect. Like the v4 tail, the v5 tail makes the HELLO
-/// unacceptable to older servers, so clients only emit it when the caller
-/// opted into resumability — such a session requires a v5 server.
+///
+/// There is one protocol version and every frame type has one fixed
+/// payload layout (DESIGN.md §8 tabulates them): no section is optional or
+/// detected from the payload length, and a payload with missing or
+/// trailing bytes is malformed. DecodeHello and DecodeHelloAck reject any
+/// version other than kWireVersion, so a peer built for another version is
+/// refused at the handshake.
 constexpr uint32_t kWireVersion = 5;
-/// Oldest version this build still speaks.
-constexpr uint32_t kMinWireVersion = 1;
 constexpr size_t kFrameHeaderBytes = 5;  // u32 payload length + u8 type
 /// Upper bound on one frame's payload; a header declaring more poisons the
 /// decoder (malformed or hostile stream).
@@ -120,18 +96,16 @@ class FrameDecoder {
 struct HelloMsg {
   uint32_t version = kWireVersion;
   uint32_t n_streams = 1;
-  /// v4 mixed-isolation tail: declared isolation level per stream, indexed
-  /// by stream id (entries beyond n_streams are rejected; streams past the
-  /// end of the list default to SERIALIZABLE). Empty = no tail emitted —
-  /// the only shape a pre-v4 server accepts.
+  /// Declared isolation level per stream, indexed by stream id (entries
+  /// beyond n_streams are rejected; streams past the end of the list
+  /// default to SERIALIZABLE).
   std::vector<IsolationLevel> stream_ils;
-  /// v5 resume tail. `resumable` asks the server to park this session's
+  /// Session resume. `resumable` asks the server to park this session's
   /// stream state (per-client floors) if the connection drops before every
   /// stream closed cleanly. `has_resume` asks to re-attach to the parked
   /// session whose base client id is `resume_base`; when no such parked
   /// session exists the server falls back to a fresh allocation (detected
-  /// by the ack's base_client differing from resume_base). Setting either
-  /// flag emits the tail — which requires a v5 server.
+  /// by the ack's base_client differing from resume_base).
   bool resumable = false;
   bool has_resume = false;
   uint32_t resume_base = 0;
@@ -142,19 +116,19 @@ struct HelloAckMsg {
   /// First verifier client id assigned to this session; the session's
   /// stream `s` maps to verifier client `base_client + s`.
   uint32_t base_client = 0;
-  /// v5: on a successful resume, one entry per stream — the oldest ts_bef
-  /// the resumed stream may still push (its re-admission floor). Empty on
-  /// fresh sessions.
+  /// On a successful resume, one entry per stream — the oldest ts_bef the
+  /// resumed stream may still push (its re-admission floor). Empty on fresh
+  /// sessions.
   std::vector<Timestamp> resume_floors;
 };
 
 struct BatchMsg {
   uint32_t stream = 0;
   std::vector<Trace> traces;
-  /// v3: steady-clock ns on the client at the moment the batch was pushed
-  /// onto the wire; 0 when absent (v1/v2 peer). Comparable with the
-  /// server's obs::NowNs() only when both ends share a machine (loopback) —
-  /// consumers must treat negative deltas as clock skew and skip them.
+  /// Steady-clock ns on the client at the moment the batch was pushed onto
+  /// the wire; 0 = unstamped. Comparable with the server's obs::NowNs()
+  /// only when both ends share a machine (loopback) — consumers must treat
+  /// negative deltas as clock skew.
   uint64_t ingest_ns = 0;
 };
 
@@ -182,8 +156,7 @@ StatusOr<HelloMsg> DecodeHello(const std::string& payload);
 std::string EncodeHelloAck(const HelloAckMsg& m);
 StatusOr<HelloAckMsg> DecodeHelloAck(const std::string& payload);
 
-/// `ingest_ns != 0` appends the v3 ingest-timestamp tail; callers must only
-/// pass it on sessions that negotiated version >= 3.
+/// The payload always ends in the 8-byte `ingest_ns` stamp.
 std::string EncodeBatch(uint32_t stream, const std::vector<Trace>& traces,
                         uint64_t ingest_ns = 0);
 StatusOr<BatchMsg> DecodeBatch(const std::string& payload);
@@ -194,11 +167,9 @@ StatusOr<BatchAckMsg> DecodeBatchAck(const std::string& payload);
 std::string EncodeCloseStream(const CloseStreamMsg& m);
 StatusOr<CloseStreamMsg> DecodeCloseStream(const std::string& payload);
 
-/// `version` selects the payload layout: 1 = legacy (type/key/txns/detail),
-/// 2 = legacy + structured witness extension. The decoder accepts both (the
-/// extension's presence is self-describing).
-std::string EncodeViolation(const BugDescriptor& bug,
-                            uint32_t version = kWireVersion);
+/// The payload always carries the structured witness (anchor ts, ops,
+/// edges), empty lists included.
+std::string EncodeViolation(const BugDescriptor& bug);
 StatusOr<ViolationMsg> DecodeViolation(const std::string& payload);
 
 std::string EncodeBye(const ByeMsg& m);

@@ -3,6 +3,7 @@
 #include <csignal>
 #include <cstdarg>
 #include <cstdio>
+#include <thread>
 #include <fcntl.h>
 #include <unistd.h>
 
@@ -53,16 +54,33 @@ void EventJournal::Record(EventSeverity severity, const char* component,
                           const char* message) {
   uint64_t seq = next_seq_.fetch_add(1, std::memory_order_relaxed);
   Slot& slot = slots_[seq & mask_];
-  // Mark the slot in-progress. Another writer lapping us (capacity_ events
-  // recorded while we fill this slot) can interleave; the version check on
-  // the reader side discards the torn result either way, so the journal
-  // stays consistent even under that pathological contention.
+  // Claim the slot by moving its version to our odd in-progress mark. A
+  // writer lapping another (capacity_ events recorded while one fills a
+  // slot) must not interleave with it: two payloads stored into one slot
+  // can leave the older event, or a mix of both, published under an even
+  // version. So an older generation mid-write is waited out (it is a few
+  // stores from done), and a newer generation already past us means our
+  // event is overwritten anyway and is dropped. Newest always wins.
   //
-  // The odd mark is an acquire read-modify-write: the payload stores below
+  // The claim is an acquire read-modify-write: the payload stores below
   // cannot move above it, and it synchronizes with a reader's release
   // re-read of the version (Snapshot), so a reader that saw any of this
   // write's payload also sees the version move.
-  uint64_t v = slot.version.fetch_or(1, std::memory_order_acquire);
+  const uint64_t writing = 2 * seq + 1;
+  uint64_t v = slot.version.load(std::memory_order_relaxed);
+  while (true) {
+    if (v > writing) return;  // a newer generation owns the slot
+    if (v & 1) {
+      std::this_thread::yield();
+      v = slot.version.load(std::memory_order_relaxed);
+      continue;
+    }
+    if (slot.version.compare_exchange_weak(v, writing,
+                                           std::memory_order_acquire,
+                                           std::memory_order_relaxed)) {
+      break;
+    }
+  }
   Event e;
   e.seq = seq;
   e.ts_ns = NowNs();
@@ -74,7 +92,7 @@ void EventJournal::Record(EventSeverity severity, const char* component,
   for (size_t i = 0; i < kEventWords; ++i) {
     slot.words[i].store(words[i], std::memory_order_relaxed);
   }
-  slot.version.store((v | 1) + 1, std::memory_order_release);
+  slot.version.store(writing + 1, std::memory_order_release);
 }
 
 Event EventJournal::LoadEvent(const Slot& slot) {
@@ -106,7 +124,7 @@ std::vector<Event> EventJournal::Snapshot(size_t max_n) const {
   for (uint64_t seq = begin; seq < end; ++seq) {
     const Slot& slot = slots_[seq & mask_];
     uint64_t v1 = slot.version.load(std::memory_order_acquire);
-    if (v1 & 1) continue;  // write in progress
+    if (v1 != 2 * seq + 2) continue;  // in progress or another generation
     Event e = LoadEvent(slot);
     // Re-read the version with a release RMW that adds nothing (Boehm,
     // "Can seqlocks get along with programming language memory models?",
@@ -115,7 +133,6 @@ std::vector<Event> EventJournal::Snapshot(size_t max_n) const {
     // payload we copied. No standalone fence, which TSan cannot model.
     uint64_t v2 = slot.version.fetch_add(0, std::memory_order_release);
     if (v1 != v2) continue;  // torn: overwritten during the copy
-    if (e.seq != seq) continue;  // slot already holds a newer generation
     e.component[sizeof(e.component) - 1] = '\0';
     e.message[sizeof(e.message) - 1] = '\0';
     out.push_back(e);
@@ -180,7 +197,7 @@ void FatalDumpLocked(int fd, const EventJournal* j, bool json) {
   bool first = true;
   for (uint64_t seq = begin; seq < end; ++seq) {
     const EventJournal::Slot& slot = j->slots_[seq & j->mask_];
-    if (slot.version.load(std::memory_order_acquire) & 1) continue;
+    if (slot.version.load(std::memory_order_acquire) != 2 * seq + 2) continue;
     Event e = EventJournal::LoadEvent(slot);
     if (e.seq != seq) continue;
     e.component[sizeof(e.component) - 1] = '\0';

@@ -7,13 +7,14 @@
 // question is "what state transitions led here?", not "what is the counter
 // value now?". The journal is a ring of the last N discrete events (session
 // open/close, shard stall, backpressure engage/release, GC advance,
-// violation, diagnosis start/done). Writers are wait-free apart from one
-// fetch_add; payloads are fixed-size char arrays so recording never
-// allocates and is safe from latency-sensitive pipeline threads.
+// violation, diagnosis start/done). A writer costs one fetch_add and one
+// CAS, and waits only when it laps another still filling the same slot;
+// payloads are fixed-size char arrays so recording never allocates and is
+// safe from latency-sensitive pipeline threads.
 //
 // Concurrency: each slot carries a seqlock-style version. A writer claims a
-// global sequence number with fetch_add, bumps the slot version to odd
-// (in-progress), fills the payload, then publishes an even version. Readers
+// global sequence number `seq` with fetch_add, moves the slot version to
+// 2*seq+1 (in progress), fills the payload, then publishes 2*seq+2. Readers
 // (the HTTP endpoint, the fatal-signal dump) copy the slot and retry/skip if
 // the version changed underneath them — a torn slot is dropped, never
 // half-reported. The payload is read and written through relaxed atomics
@@ -51,7 +52,7 @@ class EventJournal {
   EventJournal(const EventJournal&) = delete;
   EventJournal& operator=(const EventJournal&) = delete;
 
-  /// Wait-free and allocation-free; safe from any thread. `component` and
+  /// Allocation-free; safe from any thread. `component` and
   /// `message` are truncated to the Event field sizes.
   void Record(EventSeverity severity, const char* component,
               const char* message);
@@ -87,7 +88,8 @@ class EventJournal {
   static_assert(kEventWords * 8 == sizeof(Event));
 
   struct Slot {
-    // Even = published `(version/2)`-th write; odd = write in progress.
+    // 2*seq+2 = event `seq` published; 2*seq+1 = its write in progress;
+    // 0 = never written.
     // Mutable: readers re-read it with a read-modify-write.
     mutable std::atomic<uint64_t> version{0};
     std::atomic<uint64_t> words[kEventWords] = {};

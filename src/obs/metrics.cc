@@ -21,6 +21,22 @@ Histogram::Snapshot Histogram::Snap() const {
   }
   s.min_ns = MinNs();
   s.max_ns = MaxNs();
+  if (s.count == 0) return s;
+  // min_/max_ are updated after the bucket, one after the other, so a
+  // snapshot can see a record's bucket but not yet its extremes (or an
+  // extreme whose bucket it missed). Clamp each extreme into the range of
+  // the outermost bucket it must lie in; when both fall in one bucket a
+  // lagging max can still sit below min, and the true max is >= min.
+  int lo = 0;
+  while (s.buckets[lo] == 0) ++lo;
+  int hi = kBuckets - 1;
+  while (s.buckets[hi] == 0) --hi;
+  auto last_ns = [](int i) {  // inclusive upper bound of bucket i
+    return i == kBuckets - 1 ? UINT64_MAX : BucketUpperNs(i) - 1;
+  };
+  s.min_ns = std::clamp(s.min_ns, BucketLowerNs(lo), last_ns(lo));
+  s.max_ns = std::clamp(s.max_ns, BucketLowerNs(hi), last_ns(hi));
+  s.max_ns = std::max(s.max_ns, s.min_ns);
   return s;
 }
 

@@ -85,7 +85,9 @@ class Gauge {
 /// snapshot (the invariant cumulative-bucket consumers like the Prometheus
 /// exporter need). `sum_ns`/`min_ns`/`max_ns` may lag the buckets by the
 /// in-flight records; mean/percentiles are approximate under concurrency
-/// and exact once writers quiesce.
+/// and exact once writers quiesce. Snap() clamps `min_ns`/`max_ns` into the
+/// snapshot's outermost non-empty buckets, so `min_ns <= max_ns` whenever
+/// `count > 0`.
 class Histogram {
  public:
   static constexpr int kBuckets = 64;

@@ -1,8 +1,7 @@
 // Tests for the live-introspection stack: Prometheus text exposition
 // (validated by a strict parser), the HTTP endpoint's routes over a real
 // loopback socket, the stall watchdog (fire + recover + /healthz
-// degradation), /statusz JSON, and the wire-version matrix for the v3
-// ingest-timestamp stage histogram.
+// degradation) and /statusz JSON.
 
 #include <gtest/gtest.h>
 
@@ -16,25 +15,17 @@
 #include <thread>
 #include <vector>
 
-#include "fuzz_history_util.h"
-#include "net/client.h"
-#include "net/server.h"
 #include "net/socket.h"
-#include "net/wire.h"
 #include "obs/events.h"
 #include "obs/http_endpoint.h"
 #include "obs/metrics.h"
 #include "obs/prom.h"
 #include "obs/registry.h"
 #include "obs/watchdog.h"
-#include "verifier/mechanism_table.h"
 
 namespace leopard {
 namespace obs {
 namespace {
-
-using fuzzutil::BuildSerialHistory;
-using fuzzutil::History;
 
 // ---------------------------------------------------------------------------
 // Strict Prometheus text-format 0.0.4 parser. Validates, per exposition:
@@ -541,57 +532,6 @@ TEST(HttpEndpointTest, StopReturnsPromptly) {
   ep.Stop();
   const double stop_ms = static_cast<double>(NowNs() - start) / 1e6;
   EXPECT_LT(stop_ms, 50.0);
-}
-
-// ---------------------------------------------------------------------------
-// Wire-version matrix: only a v3 session carries the batch ingest
-// timestamp, so stage.ingest_to_read_ns must populate for v3 and stay
-// empty when either side pins v1/v2 — while verification results stay
-// identical.
-
-void RunVersionedSession(uint32_t wire_version, MetricsRegistry& registry) {
-  net::VerifierServer::Options so;
-  so.expected_sessions = 1;
-  so.metrics = &registry;
-  net::VerifierServer server(
-      ConfigForMiniDb(Protocol::kMvcc2plSsi, IsolationLevel::kSerializable),
-      so);
-  ASSERT_TRUE(server.Start().ok());
-  // WaitReport() is what drains the run and sends the BYE the client's
-  // Finish() blocks on, so it must run concurrently.
-  std::thread drain([&server] { server.WaitReport(); });
-
-  net::VerifierClient::Options co;
-  co.batch_traces = 32;
-  co.wire_version = wire_version;
-  auto client = net::VerifierClient::Connect(
-      "127.0.0.1:" + std::to_string(server.port()), co);
-  ASSERT_TRUE(client.ok()) << client.status();
-  History h = BuildSerialHistory(/*seed=*/21, /*txn_count=*/60);
-  for (Trace& t : h.traces) {
-    ASSERT_TRUE((*client)->Push(0, std::move(t)).ok());
-  }
-  auto bye = (*client)->Finish();
-  EXPECT_TRUE(bye.ok()) << bye.status();
-  drain.join();
-  const VerifyReport& report = server.WaitReport();
-  EXPECT_EQ(report.stats.TotalViolations(), 0u);
-  EXPECT_GT(server.traces_received(), 0u);
-}
-
-TEST(WireVersionMatrixTest, V3PopulatesIngestStageHistogram) {
-  MetricsRegistry registry;
-  RunVersionedSession(3, registry);
-  EXPECT_GT(registry.histogram("stage.ingest_to_read_ns")->Count(), 0u);
-}
-
-TEST(WireVersionMatrixTest, V2AndV1InteropWithoutIngestStamps) {
-  for (uint32_t version : {2u, 1u}) {
-    MetricsRegistry registry;
-    RunVersionedSession(version, registry);
-    EXPECT_EQ(registry.histogram("stage.ingest_to_read_ns")->Count(), 0u)
-        << "wire v" << version << " must not carry the v3 ingest tail";
-  }
 }
 
 }  // namespace

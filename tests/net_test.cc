@@ -188,7 +188,7 @@ TEST(WireTest, AllMessageTypesRoundTrip) {
   EXPECT_EQ(*error, "boom");
 }
 
-TEST(WireTest, ViolationRoundTripsStructuredWitnessAtV2) {
+TEST(WireTest, ViolationRoundTripsStructuredWitness) {
   BugDescriptor bug;
   bug.type = BugType::kScViolation;
   bug.key = 5;
@@ -202,63 +202,58 @@ TEST(WireTest, ViolationRoundTripsStructuredWitnessAtV2) {
   bug.edges.push_back(BugEdge{4, 9, DepType::kWr});
   bug.edges.push_back(BugEdge{9, 4, DepType::kRw});
 
-  auto v2 = DecodeViolation(EncodeViolation(bug, 2));
-  ASSERT_TRUE(v2.ok());
-  EXPECT_EQ(v2->bug, bug);
+  const std::string payload = EncodeViolation(bug);
+  auto decoded = DecodeViolation(payload);
+  ASSERT_TRUE(decoded.ok());
+  EXPECT_EQ(decoded->bug, bug);
 
-  // A v1 payload carries no witness but stays decodable (old client talking
-  // to a new server, or vice versa).
-  auto v1 = DecodeViolation(EncodeViolation(bug, 1));
-  ASSERT_TRUE(v1.ok());
-  EXPECT_EQ(v1->bug.type, bug.type);
-  EXPECT_EQ(v1->bug.key, bug.key);
-  EXPECT_EQ(v1->bug.txns, bug.txns);
-  EXPECT_EQ(v1->bug.detail, bug.detail);
-  EXPECT_TRUE(v1->bug.ops.empty());
-  EXPECT_TRUE(v1->bug.edges.empty());
+  // The witness section is not optional: an empty witness is still
+  // ts u64 | n_ops u32 | n_edges u32, and a payload cut before it is
+  // malformed, as is one with a trailing byte.
+  BugDescriptor bare = bug;
+  bare.ops.clear();
+  bare.edges.clear();
+  const std::string bare_payload = EncodeViolation(bare);
+  EXPECT_TRUE(DecodeViolation(bare_payload).ok());
+  EXPECT_FALSE(
+      DecodeViolation(bare_payload.substr(0, bare_payload.size() - 16)).ok());
+  EXPECT_FALSE(DecodeViolation(payload + '\0').ok());
 }
 
-TEST(WireTest, HelloVersionNegotiatesDown) {
-  // An old (v1) client hello still decodes; the ack mirrors the lower
-  // version back.
-  HelloMsg v1_hello;
-  v1_hello.version = 1;
-  v1_hello.n_streams = 4;
-  auto hello = DecodeHello(EncodeHello(v1_hello));
-  ASSERT_TRUE(hello.ok());
-  EXPECT_EQ(hello->version, 1u);
-  HelloAckMsg v1_ack;
-  v1_ack.version = 1;
-  v1_ack.base_client = 8;
-  auto ack = DecodeHelloAck(EncodeHelloAck(v1_ack));
-  ASSERT_TRUE(ack.ok());
-  EXPECT_EQ(ack->version, 1u);
-  EXPECT_EQ(ack->base_client, 8u);
-}
-
-TEST(WireTest, HelloStreamIlTailRoundTripsAtV4) {
+// HELLO = u32 version | u32 n_streams | u32 n_ils | n_ils x u8 | u8 flags |
+// u32 resume_base, whatever the caller declared.
+TEST(WireTest, HelloRoundTripsFixedLayout) {
   HelloMsg hello;
-  hello.version = kWireVersion;
   hello.n_streams = 3;
   hello.stream_ils = {IsolationLevel::kReadCommitted,
                       IsolationLevel::kSnapshotIsolation};
-  auto decoded = DecodeHello(EncodeHello(hello));
+  const std::string payload = EncodeHello(hello);
+  EXPECT_EQ(payload.size(), 4u + 4 + 4 + 2 + 1 + 4);
+  auto decoded = DecodeHello(payload);
   ASSERT_TRUE(decoded.ok()) << decoded.status();
   EXPECT_EQ(decoded->version, kWireVersion);
   EXPECT_EQ(decoded->n_streams, 3u);
   ASSERT_EQ(decoded->stream_ils.size(), 2u);
   EXPECT_EQ(decoded->stream_ils[0], IsolationLevel::kReadCommitted);
   EXPECT_EQ(decoded->stream_ils[1], IsolationLevel::kSnapshotIsolation);
+  EXPECT_FALSE(decoded->resumable);
+  EXPECT_FALSE(decoded->has_resume);
 
-  // No tail declared: the payload is the legacy 8-byte shape and decodes
-  // with an empty list.
-  HelloMsg legacy;
-  legacy.n_streams = 7;
-  const std::string legacy_payload = EncodeHello(legacy);
-  EXPECT_EQ(legacy_payload.size(), 8u);
-  auto plain = DecodeHello(legacy_payload);
-  ASSERT_TRUE(plain.ok());
-  EXPECT_TRUE(plain->stream_ils.empty());
+  // Nothing declared still carries the zero count, flags and base.
+  HelloMsg plain;
+  plain.n_streams = 7;
+  const std::string plain_payload = EncodeHello(plain);
+  EXPECT_EQ(plain_payload.size(), 17u);
+  auto bare = DecodeHello(plain_payload);
+  ASSERT_TRUE(bare.ok());
+  EXPECT_TRUE(bare->stream_ils.empty());
+  EXPECT_EQ(bare->resume_base, 0u);
+
+  // Every byte is mandatory and nothing may trail.
+  for (size_t n = 0; n < plain_payload.size(); ++n) {
+    EXPECT_FALSE(DecodeHello(plain_payload.substr(0, n)).ok()) << n;
+  }
+  EXPECT_FALSE(DecodeHello(plain_payload + '\0').ok());
 
   // More declared levels than streams is malformed.
   HelloMsg overlong;
@@ -266,11 +261,17 @@ TEST(WireTest, HelloStreamIlTailRoundTripsAtV4) {
   overlong.stream_ils = {IsolationLevel::kSerializable,
                          IsolationLevel::kSerializable};
   EXPECT_FALSE(DecodeHello(EncodeHello(overlong)).ok());
+
+  // Any other version is refused.
+  for (uint32_t version : {kWireVersion - 1, kWireVersion + 1}) {
+    HelloMsg other = plain;
+    other.version = version;
+    EXPECT_FALSE(DecodeHello(EncodeHello(other)).ok()) << version;
+  }
 }
 
-TEST(WireTest, HelloResumeTailRoundTripsAtV5) {
+TEST(WireTest, HelloResumeFlagsRoundTrip) {
   HelloMsg hello;
-  hello.version = kWireVersion;
   hello.n_streams = 2;
   hello.resumable = true;
   hello.has_resume = true;
@@ -281,7 +282,6 @@ TEST(WireTest, HelloResumeTailRoundTripsAtV5) {
   EXPECT_TRUE(decoded->has_resume);
   EXPECT_EQ(decoded->resume_base, 17u);
 
-  // Either flag alone still emits (and round-trips) the tail.
   HelloMsg park_only;
   park_only.resumable = true;
   auto parked = DecodeHello(EncodeHello(park_only));
@@ -289,19 +289,15 @@ TEST(WireTest, HelloResumeTailRoundTripsAtV5) {
   EXPECT_TRUE(parked->resumable);
   EXPECT_FALSE(parked->has_resume);
 
-  // Neither flag: the legacy shape, nothing appended.
-  HelloMsg plain;
-  plain.n_streams = 4;
-  auto legacy = DecodeHello(EncodeHello(plain));
-  ASSERT_TRUE(legacy.ok());
-  EXPECT_FALSE(legacy->resumable);
-  EXPECT_FALSE(legacy->has_resume);
-  EXPECT_EQ(legacy->resume_base, 0u);
+  // Unknown flag bits are rejected.
+  std::string payload = EncodeHello(park_only);
+  payload[payload.size() - 5] = static_cast<char>(0x4);
+  EXPECT_FALSE(DecodeHello(payload).ok());
 }
 
-TEST(WireTest, HelloAckResumeFloorsRoundTripAtV5) {
+// HELLO_ACK = u32 version | u32 base_client | u32 n_floors | n_floors x u64.
+TEST(WireTest, HelloAckRoundTripsFixedLayout) {
   HelloAckMsg ack;
-  ack.version = kWireVersion;
   ack.base_client = 17;
   ack.resume_floors = {0, 123456789ull, uint64_t{1} << 62};
   auto decoded = DecodeHelloAck(EncodeHelloAck(ack));
@@ -311,9 +307,17 @@ TEST(WireTest, HelloAckResumeFloorsRoundTripAtV5) {
 
   HelloAckMsg fresh;
   fresh.base_client = 3;
-  auto plain = DecodeHelloAck(EncodeHelloAck(fresh));
+  const std::string payload = EncodeHelloAck(fresh);
+  EXPECT_EQ(payload.size(), 12u);
+  auto plain = DecodeHelloAck(payload);
   ASSERT_TRUE(plain.ok());
   EXPECT_TRUE(plain->resume_floors.empty());
+  EXPECT_FALSE(DecodeHelloAck(payload.substr(0, 8)).ok());
+  EXPECT_FALSE(DecodeHelloAck(payload + '\0').ok());
+
+  HelloAckMsg other = fresh;
+  other.version = kWireVersion + 1;
+  EXPECT_FALSE(DecodeHelloAck(EncodeHelloAck(other)).ok());
 }
 
 // Campaign regression: a range scan's scanned interval and its absent keys
@@ -422,6 +426,8 @@ TEST(NetLoopbackTest, SingleSessionVerifiesClean) {
   EXPECT_EQ(registry.counter("net.traces_in")->Value(), total);
   EXPECT_GE(registry.counter("net.frames_in")->Value(), 3u);
   EXPECT_EQ(registry.counter("net.decode_errors")->Value(), 0u);
+  // Every batch carries the client's push stamp.
+  EXPECT_GT(registry.histogram("stage.ingest_to_read_ns")->Count(), 0u);
 }
 
 TEST(NetLoopbackTest, ConcurrentSessionsFaultAndDisconnect) {
@@ -548,6 +554,67 @@ TEST(NetLoopbackTest, MalformedFrameGetsErrorAndSessionDies) {
   // The failed session still counts as completed, so the drain finishes.
   server.WaitReport();
   EXPECT_GE(registry.counter("net.decode_errors")->Value(), 1u);
+}
+
+// A HELLO of any other wire version gets kError and the session is
+// dropped: the server closes the connection after the error.
+TEST(NetLoopbackTest, OtherWireVersionHelloIsRefused) {
+  obs::MetricsRegistry registry;
+  VerifierServer::Options so;
+  so.metrics = &registry;
+  VerifierServer server(PgSer(), so);
+  ASSERT_TRUE(server.Start().ok());
+  for (uint32_t version : {kWireVersion - 1, kWireVersion + 1}) {
+    auto sock = TcpConnect("127.0.0.1", server.port());
+    ASSERT_TRUE(sock.ok());
+    HelloMsg hello;
+    hello.version = version;
+    std::string frame = EncodeFrame(FrameType::kHello, EncodeHello(hello));
+    ASSERT_TRUE(sock->SendAll(frame.data(), frame.size()).ok());
+    FrameDecoder decoder;
+    Frame reply;
+    ASSERT_TRUE(ReadFrameOfType(*sock, decoder, FrameType::kError, reply))
+        << version;
+    auto message = DecodeError(reply.payload);
+    ASSERT_TRUE(message.ok());
+    EXPECT_NE(message->find("wire version"), std::string::npos) << *message;
+    // Nothing follows the error: the next read is EOF.
+    sock->SetRecvTimeoutMs(5000);
+    char buf[64];
+    auto got = sock->Recv(buf, sizeof(buf));
+    ASSERT_TRUE(got.ok()) << got.status();
+    EXPECT_EQ(*got, 0u);
+  }
+  EXPECT_EQ(registry.counter("net.decode_errors")->Value(), 2u);
+  server.Shutdown();
+  server.WaitReport();
+  EXPECT_EQ(server.GetStatus().sessions_handshaken, 0u);
+}
+
+// The client refuses a HELLO_ACK of any other wire version.
+TEST(NetLoopbackTest, ClientRefusesOtherWireVersionAck) {
+  auto listener = Listener::Listen(0);
+  ASSERT_TRUE(listener.ok()) << listener.status();
+  std::thread fake_server([&listener] {
+    auto conn = listener->Accept();
+    ASSERT_TRUE(conn.ok());
+    FrameDecoder decoder;
+    Frame hello;
+    ASSERT_TRUE(ReadFrameOfType(*conn, decoder, FrameType::kHello, hello));
+    HelloAckMsg ack;
+    ack.version = kWireVersion + 1;
+    std::string frame = EncodeFrame(FrameType::kHelloAck, EncodeHelloAck(ack));
+    ASSERT_TRUE(conn->SendAll(frame.data(), frame.size()).ok());
+  });
+  VerifierClient::Options co;
+  co.recv_timeout_ms = 5000;
+  auto client = VerifierClient::Connect(
+      "127.0.0.1:" + std::to_string(listener->port()), co);
+  fake_server.join();
+  listener->Close();
+  ASSERT_FALSE(client.ok());
+  EXPECT_NE(client.status().message().find("wire version"), std::string::npos)
+      << client.status();
 }
 
 TEST(NetLoopbackTest, BatchBeforeHelloIsRejected) {
@@ -687,54 +754,11 @@ TEST(NetLoopbackTest, StreamIlOptionValidation) {
                          IsolationLevel::kSerializable};
   EXPECT_FALSE(VerifierClient::Connect(addr, overlong).ok());
 
-  // Per-stream levels need the v4 handshake: a v3-pinned session cannot
-  // declare them.
-  VerifierClient::Options pinned;
-  pinned.wire_version = 3;
-  pinned.stream_ils = {IsolationLevel::kReadCommitted};
-  EXPECT_FALSE(VerifierClient::Connect(addr, pinned).ok());
-
   server.Shutdown();
   server.WaitReport();
 }
 
-TEST(NetLoopbackTest, V3PinnedSessionShipsRecordsUntagged) {
-  // A session that negotiated v3 must strip record-level IL tags (a pre-v4
-  // decoder rejects the flag bit), so the server judges the stream at
-  // SERIALIZABLE and the dirty write still fires — tags only thin verdicts
-  // when the whole path speaks v4.
-  VerifierServer::Options so;
-  so.expected_sessions = 1;
-  VerifierServer server(PgSer(), so);
-  ASSERT_TRUE(server.Start().ok());
-  std::thread drain([&server] { server.WaitReport(); });
-
-  VerifierClient::Options co;
-  co.wire_version = 3;
-  auto client = VerifierClient::Connect(
-      "127.0.0.1:" + std::to_string(server.port()), co);
-  ASSERT_TRUE(client.ok()) << client.status();
-  EXPECT_EQ((*client)->wire_version(), 3u);
-  for (Trace& t : DirtyWriteTraces()) {
-    t.il = IsolationLevel::kReadCommitted;  // stripped in flight
-    ASSERT_TRUE((*client)->Push(0, std::move(t)).ok());
-  }
-  ASSERT_TRUE((*client)->Finish().ok());
-  auto violations = (*client)->violations();
-  drain.join();
-
-  ASSERT_FALSE(violations.empty());
-  bool got_me = false;
-  for (const auto& bug : violations) {
-    if (bug.type == BugType::kMeViolation) got_me = true;
-  }
-  EXPECT_TRUE(got_me);
-  const VerifyReport& report = server.WaitReport();
-  EXPECT_GE(report.stats.me_violations, 1u);
-  EXPECT_EQ(report.stats.weak_il_traces, 0u);
-}
-
-// v5 session resume, end to end: a resumable session streams half its
+// Session resume, end to end: a resumable session streams half its
 // history, drains the ack watermark, drops the connection abruptly, then
 // re-attaches to the parked session — same base client id, floors honored —
 // and streams the rest. The server must stitch both connections into one
